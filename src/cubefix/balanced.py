@@ -9,6 +9,9 @@ workhorse identity, for full sign vectors,
 
 turns membership counting into two running extrema over coordinates, so
 coverage counts are exact integer computations over (short) int columns.
+Since ``min(s * d) = -max(-s * d)``, the test reads ``M(s) >= M(-s)`` with
+``M(s) = max(s * (x - q))``: one pass scores both ``s`` and ``-s``, so
+``coverage_counts`` makes ``2**(k-1)`` passes for the full sign set.
 Thresholds compare ``2 * count >= |T|`` in integers; no rationals, no floats.
 
 Three search routines:
@@ -20,14 +23,17 @@ Three search routines:
   case in higher dimension — fine at calibration scale, not for solver loops.
 * ``select_query_point``: what the solver calls.  Deterministic multi-start
   descent on the integer coverage deficit, with exact verification of the
-  result and a fall back to the exact search if every start stalls.  Any
-  verified balanced point preserves every downstream guarantee (halving,
-  containment, query bound); determinism keeps runs reproducible.
+  result and a fall back to the exact search if every start stalls.  A memo
+  scores each point at most once per call, since the walk often steps back
+  to a point it has already scored.  Any verified balanced point preserves
+  every downstream guarantee (halving, containment, query bound);
+  determinism keeps runs reproducible.
 * ``is_balanced``: the exact test, usable on its own.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
@@ -37,11 +43,19 @@ from .errors import InternalInvariantError
 from .geometry import GridPoint
 
 _DESCENT_BUDGET = 10_000
+_BLOCK_ROWS = 1 << 16  # 128 KiB per int16 block temporary: a pass stays in L2
 
 
 def all_sign_vectors(k: int) -> np.ndarray:
     """All ``2**k`` full sign vectors as an array, in lexicographic order (-1 first)."""
-    return np.array(list(product((-1, 1), repeat=k)), dtype=np.int64)
+    return _sign_table(k).copy()
+
+
+@lru_cache(maxsize=None)
+def _sign_table(k: int) -> np.ndarray:
+    table = np.array(list(product((-1, 1), repeat=k)), dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def _as_points(T, k: int | None = None) -> np.ndarray:
@@ -54,30 +68,60 @@ def _as_points(T, k: int | None = None) -> np.ndarray:
     return pts
 
 
-def _columns(points: np.ndarray, n: int) -> list[np.ndarray]:
-    """Contiguous per-coordinate columns in the narrowest safe integer dtype."""
-    dt = np.int16 if n <= 30_000 else np.int32
+def _columns(points: np.ndarray, span: int) -> list[np.ndarray]:
+    """Contiguous per-coordinate columns in the narrowest dtype the kernel can use.
+
+    ``span`` must bound ``|x_i|`` and ``|x_i - q_i|`` for every point ``x``
+    and every ``q`` the columns are scored against.  The dtype is the
+    narrowest whose maximum is at least ``span``, so every coordinate, every
+    difference ``x_i - q_i`` and its negation fit without wrapping.
+    """
+    dt = next((t for t in (np.int16, np.int32) if span <= np.iinfo(t).max), np.int64)
     return [np.ascontiguousarray(points[:, i].astype(dt)) for i in range(points.shape[1])]
 
 
 def coverage_counts(cols: Sequence[np.ndarray], q: Sequence[int], signs: np.ndarray) -> np.ndarray:
     """For each sign vector, how many column points its pyramid union at ``q`` covers.
 
-    Exact integer arithmetic: per sign ``s`` accumulates the running max and
-    min of ``s_i * (x_i - q_i)`` across coordinates and counts rows with
-    ``max + min >= 0``.
+    With ``d_i = x_i - q_i`` and ``M(s) = max_i s_i * d_i``, sign ``s`` covers
+    a point iff ``max_i s_i d_i + min_i s_i d_i >= 0``, that is iff
+    ``M(s) >= M(-s)``.  Negating ``s`` swaps the two sides, so when ``signs``
+    is the full :func:`all_sign_vectors` table one pass per ``s_0 = +1``
+    vector scores the pair: ``cov(s) = #{M(s) >= M(-s)}`` and
+    ``cov(-s) = #{M(s) <= M(-s)}``.  Any other list of full sign vectors
+    takes one pass per vector.  Exact integer arithmetic in the column dtype
+    (see :func:`_columns`), over blocks of ``_BLOCK_ROWS`` rows so that a
+    pass's temporaries stay in cache.
     """
-    k = len(cols)
-    out = np.empty(len(signs), dtype=np.int64)
-    for si, s in enumerate(signs):
-        mx = cols[0] * int(s[0]) - int(s[0]) * int(q[0])
-        mn = mx.copy()
-        for i in range(1, k):
-            b = cols[i] * int(s[i]) - int(s[i]) * int(q[i])
-            np.maximum(mx, b, out=mx)
-            np.minimum(mn, b, out=mn)
-        out[si] = int(np.count_nonzero(mx >= -mn))
+    k, m = len(cols), len(cols[0])
+    signs = np.asarray(signs)
+    full = len(signs) == 1 << k and np.array_equal(signs, _sign_table(k))
+    pos = (signs > 0).tolist()
+    picks = [(j, pos[j]) for j in range(len(signs) // 2 if full else 0, len(signs))]
+    qs = [int(v) for v in q]
+    out = np.zeros(len(signs), dtype=np.int64)
+    w = min(m, _BLOCK_ROWS)
+    up, down = np.empty(w, cols[0].dtype), np.empty(w, cols[0].dtype)
+    flag = np.empty(w, dtype=bool)
+    for lo in range(0, m, _BLOCK_ROWS):
+        d = [c[lo:lo + _BLOCK_ROWS] - v for c, v in zip(cols, qs)]
+        terms = [(-di, di) for di in d]  # indexed by s_i > 0
+        r = len(d[0])
+        a, b, f = up[:r], down[:r], flag[:r]
+        for j, p in picks:
+            _max_into(a, [t[pi] for t, pi in zip(terms, p)])
+            _max_into(b, [t[1 - pi] for t, pi in zip(terms, p)])
+            out[j] += np.count_nonzero(np.greater_equal(a, b, out=f))
+            if full:
+                out[-1 - j] += np.count_nonzero(np.less_equal(a, b, out=f))
     return out
+
+
+def _max_into(buf: np.ndarray, arrays: list[np.ndarray]) -> None:
+    """Elementwise maximum of ``arrays`` (one or more), written into ``buf``."""
+    np.maximum(arrays[0], arrays[-1], out=buf)
+    for x in arrays[1:-1]:
+        np.maximum(buf, x, out=buf)
 
 
 def coverage_deficit(cols: Sequence[np.ndarray], q: Sequence[int], signs: np.ndarray,
@@ -90,10 +134,11 @@ def coverage_deficit(cols: Sequence[np.ndarray], q: Sequence[int], signs: np.nda
 def is_balanced(q: Sequence[int], T, n: int | None = None) -> bool:
     """Exact balancedness test of ``q`` against ``T`` (a CandidateSet or point array).
 
-    An empty ``T`` makes every point vacuously balanced.  Examples on the
-    k = 1 set {0, 2, 4, 6, 8}: q = 4 is balanced, q = 0 is not (only one of
-    five points lies in the downward pyramid); a singleton's own point is
-    balanced.
+    ``n`` is the grid side when known: the points are then taken to lie in
+    ``[0, n]^k`` without a pass over them.  ``q`` may lie anywhere.  An empty
+    ``T`` makes every point vacuously balanced.  Examples on the k = 1 set
+    {0, 2, 4, 6, 8}: q = 4 is balanced, q = 0 is not (only one of five points
+    lies in the downward pyramid); a singleton's own point is balanced.
     """
     pts = _as_points(T)
     m = len(pts)
@@ -102,9 +147,9 @@ def is_balanced(q: Sequence[int], T, n: int | None = None) -> bool:
     k = pts.shape[1]
     if len(q) != k:
         raise ValueError(f"query point has dimension {len(q)}, expected {k}")
-    bound = int(n) if n is not None else int(max(pts.max(), max(abs(int(v)) for v in q)))
-    cols = _columns(pts, bound)
-    cov = coverage_counts(cols, q, all_sign_vectors(k))
+    lo, hi = (0, int(n)) if n is not None else (int(pts.min()), int(pts.max()))
+    span = max(hi, *q) - min(0, lo, *q)
+    cov = coverage_counts(_columns(pts, span), q, _sign_table(k))
     return bool(np.all(2 * cov >= m))
 
 
@@ -113,7 +158,7 @@ def _validate_even_subset(pts: np.ndarray, n: int) -> None:
         raise ValueError("cannot search an empty candidate set")
     if pts.min() < 0 or pts.max() > n:
         raise ValueError(f"candidate points must lie in [0, {n}]^k")
-    if np.any(pts % 2 != 0):
+    if np.any(pts & 1):
         raise ValueError("candidate points must have all-even coordinates")
 
 
@@ -222,15 +267,25 @@ def _unit_directions(k: int) -> list[np.ndarray]:
 
 
 def _descend(cols, q: np.ndarray, n: int, signs: np.ndarray, m: int,
-             dirs: list[np.ndarray], budget: int) -> np.ndarray | None:
+             dirs: list[np.ndarray], budget: int, memo: dict) -> np.ndarray | None:
     """First-improvement descent on the coverage deficit from one start.
 
     Step sizes sweep a halving schedule from ~n/2 down to 1; candidate moves
     are the aggregate direction of the failing signs, each failing sign
     reversed, then all unit directions — a fixed order, so the walk is a pure
-    function of the inputs.  Returns a balanced point or None on a stall.
+    function of the inputs.  ``memo`` maps each point already scored to its
+    ``(deficit, coverage)``, so a point is scored once per select, however
+    often the walk returns to it (mostly by reversing the last accepted
+    move); a memo hit still counts as an evaluation against ``budget``.
+    Returns a balanced point or None on a stall.
     """
-    deficit, cov = coverage_deficit(cols, q, signs, m)
+    def score(p: np.ndarray) -> tuple[int, np.ndarray]:
+        key = tuple(int(v) for v in p)
+        if key not in memo:
+            memo[key] = coverage_deficit(cols, p, signs, m)
+        return memo[key]
+
+    deficit, cov = score(q)
     evals = 1
     if deficit == 0:
         return q
@@ -255,7 +310,7 @@ def _descend(cols, q: np.ndarray, n: int, signs: np.ndarray, m: int,
                 q2 = np.clip(q + step * dvec, 0, n)
                 if np.array_equal(q2, q):
                     continue
-                d2, cov2 = coverage_deficit(cols, q2, signs, m)
+                d2, cov2 = score(q2)
                 evals += 1
                 if d2 < deficit:
                     q, deficit, cov = q2, d2, cov2
@@ -273,26 +328,29 @@ def select_query_point(T, n: int, k: int) -> GridPoint:
     k <= 2 uses the closed-form lexicographic minimum.  k >= 3 runs the
     deficit descent from five deterministic starts (low/high weak medians,
     bounding-box middle, grid centre, median midpoint) and falls back to the
-    exact branch-and-bound if all stall.  The result is always exactly
-    balanced; only which balanced point gets returned varies by path.
+    exact branch-and-bound if all stall.  The starts share one memo of scored
+    points.  The result is always exactly balanced; only which balanced
+    point gets returned varies by path.
     """
     pts = _as_points(T, k)
-    _validate_even_subset(pts, n)
     if k <= 2:
         return find_balanced_point(pts, n, k)
+    _validate_even_subset(pts, n)
     m = len(pts)
     signs = all_sign_vectors(k)
     dirs = _unit_directions(k)
     cols = _columns(pts, n)
     c = (m + 1) // 2
-    lo_med = np.array([np.sort(pts[:, i])[c - 1] for i in range(k)])
-    hi_med = np.array([np.sort(pts[:, i])[m - c] for i in range(k)])
-    mid = (pts.min(axis=0) + pts.max(axis=0)) // 2
+    meds = np.array([np.partition(col, (c - 1, m - c))[[c - 1, m - c]] for col in cols],
+                    dtype=np.int64)
+    lo_med, hi_med = meds[:, 0], meds[:, 1]
+    mid = np.array([(int(col.min()) + int(col.max())) // 2 for col in cols], dtype=np.int64)
     centre = np.full(k, n // 2, dtype=np.int64)
     starts = [lo_med, hi_med, mid, centre, (lo_med + hi_med) // 2]
+    memo: dict = {}
     for start in starts:
         q0 = np.clip(start.astype(np.int64), 0, n)
-        q = _descend(cols, q0, n, signs, m, dirs, _DESCENT_BUDGET)
+        q = _descend(cols, q0, n, signs, m, dirs, _DESCENT_BUDGET, memo)
         if q is not None:
             return tuple(int(v) for v in q)
     return find_balanced_point(pts, n, k)

@@ -198,8 +198,7 @@ def _oracle_grid_side(g: ContractionOracle) -> int:
 
 def solve(g: ContractionOracle, gamma: float, *, cap: int = DEFAULT_CANDIDATE_CAP,
           eliminate_fn: Callable[[CandidateSet, GridPoint, SignVector], CandidateSet] = eliminate,
-          on_round: Callable[[RoundRecord, CandidateSet, CandidateSet | None], None] | None = None,
-          sign_tolerance: float = 0.0) -> SolveResult:
+          on_round: Callable[[RoundRecord, CandidateSet, CandidateSet | None], None] | None = None) -> SolveResult:
     """Run the elimination loop on a grid oracle ``g: [0, n]^k -> [0, n]^k``.
 
     Stops at the first query with residual at most ``16 / gamma``.  The
@@ -233,7 +232,7 @@ def solve(g: ContractionOracle, gamma: float, *, cap: int = DEFAULT_CANDIDATE_CA
                 on_round(rec, cand, None)
             return SolveResult(OUTCOME_FIXED_POINT, a, residual, t, rounds, n, k,
                                gamma, bound)
-        s = sign_vector(a, ga, sign_tolerance)
+        s = sign_vector(a, ga)
         if not any(s):
             rec = RoundRecord(t, a, s, residual, len(cand), t)
             rounds.append(rec)

@@ -2,7 +2,9 @@
 
 The verifier below recomputes pyramid-union coverage straight from the
 definition (max + min of signed offsets per point), independently of the
-vectorised implementation under test.
+vectorised implementation under test.  ``reference_coverage_counts`` is the
+plain one-pass-per-sign kernel, kept as a second reference for sets too large
+for the verifier.
 """
 
 import itertools
@@ -12,7 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cubefix.balanced
 from cubefix.balanced import (
+    _BLOCK_ROWS,
+    _columns,
     all_sign_vectors,
     coverage_counts,
     find_balanced_point,
@@ -20,11 +25,27 @@ from cubefix.balanced import (
     select_query_point,
 )
 from cubefix.geometry import PyramidSpec, enumerate_even, in_pyramid
+from cubefix.solver import CandidateSet, eliminate
 
 
 def covered_by_definition(x, q, s) -> bool:
     """x in U_i P_i(q, s_i), evaluated pyramid by pyramid."""
     return any(in_pyramid(x, PyramidSpec(q, i, s[i])) for i in range(len(q)))
+
+
+def reference_coverage_counts(cols, q, signs):
+    """One pass per sign: count rows with max + min of ``s_i * (x_i - q_i)`` >= 0."""
+    k = len(cols)
+    out = np.empty(len(signs), dtype=np.int64)
+    for si, s in enumerate(signs):
+        mx = cols[0] * int(s[0]) - int(s[0]) * int(q[0])
+        mn = mx.copy()
+        for i in range(1, k):
+            b = cols[i] * int(s[i]) - int(s[i]) * int(q[i])
+            np.maximum(mx, b, out=mx)
+            np.minimum(mn, b, out=mn)
+        out[si] = int(np.count_nonzero(mx >= -mn))
+    return out
 
 
 def balanced_by_definition(q, T) -> bool:
@@ -63,21 +84,55 @@ def test_is_balanced_matches_definition_randomly():
         assert is_balanced(q, T, n=n) == balanced_by_definition(q, T)
 
 
+def test_is_balanced_query_far_outside_the_grid():
+    # The differences x - q overflow int16 although n alone fits it: the
+    # downward pyramid at -3000 covers no point, so q is not balanced.
+    T = [(0,), (30000,)]
+    for q in [(-3000,), (-40000,), (70000,)]:
+        assert is_balanced(q, T, n=30000) is False
+        assert is_balanced(q, T) is False
+        assert balanced_by_definition(q, T) is False
+    assert is_balanced((15000,), T, n=30000) is True
+
+
+def test_columns_dtype_holds_every_difference():
+    pts = np.array([[0], [32766]])
+    assert _columns(pts, 32767)[0].dtype == np.int16
+    assert _columns(pts, 32768)[0].dtype == np.int32
+    assert _columns(pts, 2 ** 31)[0].dtype == np.int64
+
+
 def test_coverage_counts_matches_definition():
     rng = np.random.default_rng(1)
-    for _ in range(100):
-        k = int(rng.integers(1, 4))
-        n = 10
-        pts = rng.integers(0, n // 2 + 1, size=(int(rng.integers(1, 12)), k)) * 2
-        q = tuple(int(v) for v in rng.integers(0, n + 1, size=k))
+    for k in range(1, 5):
         signs = all_sign_vectors(k)
-        cols = [pts[:, i].astype(np.int16) for i in range(k)]
-        got = coverage_counts(cols, q, signs)
-        want = [
-            sum(covered_by_definition(tuple(x), q, tuple(s)) for x in pts)
-            for s in signs
-        ]
-        assert list(got) == want
+        for n in (10, 40_000):
+            for trial in range(25):
+                pts = rng.integers(0, n // 2 + 1, size=(int(rng.integers(1, 12)), k)) * 2
+                q = [0] * k if trial == 0 else [n] * k if trial == 1 else (
+                    [int(v) for v in rng.integers(0, n + 1, size=k)])
+                cols = _columns(pts, n)
+                assert cols[0].dtype == (np.int16 if n == 10 else np.int32)
+                want = [
+                    sum(covered_by_definition(tuple(x), q, tuple(s)) for x in pts)
+                    for s in signs
+                ]
+                assert list(coverage_counts(cols, q, signs)) == want
+                assert list(reference_coverage_counts(cols, q, signs)) == want
+                for j in range(len(signs)):
+                    assert list(coverage_counts(cols, q, signs[j:j + 1])) == [want[j]]
+
+
+def test_coverage_counts_matches_reference_across_blocks():
+    rng = np.random.default_rng(6)
+    for k, n in [(3, 256), (4, 64), (1, 40_000)]:
+        signs = all_sign_vectors(k)
+        pts = rng.integers(0, n // 2 + 1, size=(2 * _BLOCK_ROWS + 123, k)) * 2
+        cols = _columns(pts, n)
+        for q in ([0] * k, [n] * k, [int(v) for v in rng.integers(0, n + 1, size=k)]):
+            want = reference_coverage_counts(cols, q, signs)
+            assert list(coverage_counts(cols, q, signs)) == list(want)
+            assert list(coverage_counts(cols, q, signs[1:2])) == [want[1]]
 
 
 def test_find_balanced_full_even_line():
@@ -155,6 +210,40 @@ def test_select_query_point_agrees_with_exact_for_k_le_2():
         idx = rng.choice(len(grid), size=size, replace=False)
         T = [grid[i] for i in idx]
         assert select_query_point(T, 10, 2) == find_balanced_point(T, 10, 2)
+
+
+def _shrunk_grids():
+    """EVEN(40, 3) and EVEN(16, 4) after one to three eliminations at their select points."""
+    rng = np.random.default_rng(7)
+    for n, k in [(40, 3), (16, 4)]:
+        T = CandidateSet.initial(n, k)
+        for _ in range(3):
+            a = select_query_point(T, n, k)
+            s = tuple(int(v) for v in rng.choice((-1, 1), size=k))
+            T = eliminate(T, a, s)
+            if len(T) == 0:
+                break
+            yield T, n, k
+
+
+def test_select_query_point_same_trajectory_as_reference_kernel(monkeypatch):
+    cases = list(_shrunk_grids())
+    assert len(cases) >= 4
+    want = [select_query_point(T, n, k) for T, n, k in cases]
+    monkeypatch.setattr(cubefix.balanced, "coverage_counts", reference_coverage_counts)
+    assert [select_query_point(T, n, k) for T, n, k in cases] == want
+
+
+def test_select_query_point_falls_back_to_exact_search(monkeypatch):
+    monkeypatch.setattr(cubefix.balanced, "_descend", lambda *args, **kwargs: None)
+    rng = np.random.default_rng(8)
+    grid = list(enumerate_even(10, 3))
+    for _ in range(5):
+        idx = rng.choice(len(grid), size=int(rng.integers(1, 30)), replace=False)
+        T = [grid[i] for i in idx]
+        q = select_query_point(T, 10, 3)
+        assert q == find_balanced_point(T, 10, 3)
+        assert balanced_by_definition(q, T)
 
 
 def test_validation_errors():
