@@ -16,42 +16,18 @@ Entry points:
 * :func:`solve_total` — same, but return a violation certificate when the
   oracle breaks its contraction promise.
 * :func:`picard_baseline` — the classical iteration, for comparison.
+* :func:`make_instance` / :func:`make_affine` — seeded and hand-built
+  instances.
 * ``python -m cubefix`` / the ``cubefix`` script — CLI harness.
 """
 
-from .adversary import (DiamondMap, StripFamily, check_diagonal_nonexpansive,
-                        eval_diamond_map, extend_to_square, project_to_diamond,
-                        strip_family)
-from .balanced import (all_sign_vectors, coverage_counts, find_balanced_point,
-                       is_balanced, select_query_point)
-from .errors import InstanceTooLargeError, InternalInvariantError
-from .geometry import (PyramidSpec, around_contains, enumerate_even, even_count,
-                       even_grid, even_points_near, in_pyramid, in_pyramid_union,
-                       linf_dist, sign_vector)
-from .oracles import (AffineOracle, ContractionOracle, InstanceSpec, QueryTranscript,
-                      build_instance, grid_side, make_affine, make_instance,
-                      reduce_nonexpansive, rescale_to_grid, sampled_contraction_check,
-                      strong_to_weak)
-from .solver import (DEFAULT_CANDIDATE_CAP, CandidateSet, RoundRecord, SolveResult,
-                     eliminate, picard_baseline, query_bound, solve, solve_strong,
-                     solve_unit_cube)
-from .total import (TotalResult, ViolationCertificate, extend_consistent,
-                    scan_violations, solve_total)
+from .oracles import ContractionOracle, make_affine, make_instance
+from .solver import picard_baseline, solve_strong, solve_unit_cube
+from .total import solve_total
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineOracle", "CandidateSet", "ContractionOracle", "DEFAULT_CANDIDATE_CAP",
-    "DiamondMap", "InstanceSpec", "InstanceTooLargeError", "InternalInvariantError",
-    "PyramidSpec", "QueryTranscript", "RoundRecord", "SolveResult", "StripFamily",
-    "TotalResult", "ViolationCertificate", "all_sign_vectors", "around_contains",
-    "build_instance", "check_diagonal_nonexpansive", "coverage_counts", "eliminate",
-    "enumerate_even", "eval_diamond_map", "even_count", "even_grid",
-    "even_points_near", "extend_consistent", "extend_to_square",
-    "find_balanced_point", "grid_side", "in_pyramid", "in_pyramid_union",
-    "is_balanced", "linf_dist", "make_affine", "make_instance", "picard_baseline",
-    "project_to_diamond", "query_bound", "reduce_nonexpansive", "rescale_to_grid",
-    "sampled_contraction_check", "scan_violations", "select_query_point",
-    "sign_vector", "solve", "solve_strong", "solve_total", "solve_unit_cube",
-    "strip_family", "strong_to_weak",
+    "ContractionOracle", "make_affine", "make_instance", "picard_baseline",
+    "solve_strong", "solve_total", "solve_unit_cube",
 ]

@@ -1,4 +1,4 @@
-"""Contraction oracles over the cube, instance families, and reductions.
+"""Contraction oracles over the cube, instance families, and the grid view.
 
 A :class:`ContractionOracle` wraps an arbitrary map ``f: [0, side]^k ->
 [0, side]^k`` declared to satisfy ``|f(x) - f(y)| <= (1 - gamma) * |x - y|``
@@ -6,20 +6,21 @@ in the l-infinity norm (``gamma = 0`` means only non-expansive is promised).
 Every query is domain-checked and recorded; the query counter is the
 transcript length by construction.
 
-The reductions are the parameter plumbing used by the solver:
+The parameter plumbing used by the solver:
 
-* ``reduce_nonexpansive``: replace a non-expansive ``f`` by ``(1 - eps/2) f``,
-  a genuine ``eps/2``-contraction whose eps/2-fixed points are eps-fixed
-  points of ``f``.
-* ``rescale_to_grid``: blow ``[0, 1]^k`` up to ``[0, n]^k`` with
-  ``n = ceil(16 / (gamma * eps))`` so a ``16/gamma``-fixed point of the
-  rescaled map scales back to an eps-fixed point.
+* :class:`GridView`: the unit-cube oracle seen on the grid ``[0, n]^k`` with
+  ``n = ceil(16 / (gamma * eps))``, ``g(a) = n * (scale * f(a / n))``.  When
+  ``gamma < eps/2`` the view uses ``scale = 1 - eps/2``, a genuine
+  ``eps/2``-contraction whose eps/2-fixed points are eps-fixed points of
+  ``f``; otherwise ``scale = 1``.  A ``16/gamma``-fixed point of the view
+  scales back to an eps-fixed point of ``f``.  The view records nothing
+  itself: each grid query is exactly one query to ``f``.
 * ``strong_to_weak``: a weak ``(eps * gamma)``-fixed point of a
   ``(1 - gamma)``-contraction is within ``eps`` of the true fixed point.
 
-Affine instances ``x -> (1 - gamma) * M x + c`` keep their closed-form fixed
-point through both reductions, which is what the containment checks in the
-test-suite rely on.
+Affine instances ``x -> (1 - gamma) * M x + c`` carry their closed-form fixed
+point, which the view scales onto the grid when it does not shrink the map;
+the containment checks in the test-suite rely on it.
 """
 
 from __future__ import annotations
@@ -94,7 +95,6 @@ class ContractionOracle:
         self.fixed_point = None if fixed_point is None else tuple(float(v) for v in fixed_point)
         self.name = name
         self.transcript = QueryTranscript()
-        self.affine_form: tuple[np.ndarray, np.ndarray] | None = None
         self._tol = 1e-9 * (1.0 + self.side)
 
     @property
@@ -120,8 +120,8 @@ class ContractionOracle:
     def probe(self, x: Sequence[float]) -> RealPoint:
         """Evaluate without recording.  For instance validation and tests only;
         the solver never calls this (query counts would be meaningless).
-        Wrapping oracles chain probes to the base oracle's probe, so nothing
-        is recorded anywhere along the chain."""
+        A wrapping oracle passes its base oracle's probe as ``probe_fn``, so
+        nothing is recorded anywhere along the chain."""
         xs = self._check_point(x, "query")
         return self._check_point(self._probe_fn(xs), "answer")
 
@@ -171,7 +171,6 @@ class AffineOracle(ContractionOracle):
         A = factor * M
         super().__init__(self._eval, k, gamma, side=side,
                          fixed_point=_affine_fixed_point(A, c, side), name=name)
-        self.affine_form = (A, c)
 
     def _eval(self, x: RealPoint) -> np.ndarray:
         return (1.0 - self.gamma) * (self.M @ np.asarray(x)) + self.c
@@ -196,37 +195,6 @@ def strong_to_weak(eps: float, gamma: float) -> tuple[float, float]:
     return eps * gamma, gamma
 
 
-def reduce_nonexpansive(f: ContractionOracle, eps: float) -> ContractionOracle:
-    """Turn a non-expansive oracle into the ``eps/2``-contraction ``(1 - eps/2) f``.
-
-    An ``eps/2``-fixed point of the result is an eps-fixed point of ``f``
-    (shrinking moves any point by at most ``eps/2 * side``; side is 1 here).
-    Each query passes straight through to ``f``, so query counts agree; an
-    affine form is carried along so the reduced map keeps an exact fixed
-    point when ``f`` has one.  Example: the identity with eps = 0.5 reduces
-    to ``x -> 0.75 x``.
-    """
-    if not 0 < eps <= 1:
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
-    if f.side != 1.0:
-        raise ValueError("non-expansive reduction is defined on the unit cube")
-    scale = 1.0 - eps / 2.0
-
-    def fn(x: RealPoint) -> tuple[float, ...]:
-        return tuple(scale * v for v in f(x))
-
-    def probe_fn(x: RealPoint) -> tuple[float, ...]:
-        return tuple(scale * v for v in f.probe(x))
-
-    g = ContractionOracle(fn, f.k, eps / 2.0, side=1.0, name=f.name + "-reduced",
-                          probe_fn=probe_fn)
-    if f.affine_form is not None:
-        A, b = f.affine_form
-        g.affine_form = (scale * A, scale * b)
-        g.fixed_point = _affine_fixed_point(*g.affine_form, side=1.0)
-    return g
-
-
 def grid_side(gamma: float, eps: float) -> int:
     """``n = ceil(16 / (gamma * eps))``, computed exactly from the binary floats."""
     if not 0 < gamma <= 1 or not 0 < eps:
@@ -234,32 +202,56 @@ def grid_side(gamma: float, eps: float) -> int:
     return math.ceil(Fraction(16) / (Fraction(gamma) * Fraction(eps)))
 
 
-def rescale_to_grid(f: ContractionOracle, gamma: float, eps: float) -> tuple[ContractionOracle, int]:
-    """Conjugate ``f`` on the unit cube onto ``[0, n]^k`` with ``n = ceil(16/(gamma eps))``.
+class GridView:
+    """The unit-cube oracle ``f`` seen on the grid ``[0, n]^k`` the solver runs on.
 
-    The rescaled map is ``g(x) = n * f(x / n)``; a point with
-    ``|g(a) - a| <= 16 / gamma`` scales back to the eps-fixed point ``a / n``
-    of ``f``.  Examples: gamma = eps = 1/2 gives n = 64; gamma = eps = 1
-    gives n = 16.
+    Owns the routing rule: when ``gamma < eps/2`` (in particular whenever
+    ``f`` is only promised non-expansive) the view shrinks ``f`` by
+    ``scale = 1 - eps/2`` and works at ``eps' = gamma' = eps/2``; otherwise
+    ``scale = 1`` and ``(eps', gamma') = (eps, gamma)``.  With
+    ``n = grid_side(gamma', eps')`` it evaluates ``g(a) = n * (scale *
+    f(a / n))``, one query to ``f`` per call.  ``f`` checks and records every
+    query and answer, so the view has no transcript of its own; an off-grid
+    query is rejected by ``f``.  Examples: gamma = eps = 1/2 gives n = 64 and
+    ``g(a) = 64 f(a / 64)``; the identity at gamma = 0, eps = 1/2 is routed
+    to n = 256 and ``g(a) = 256 * (0.75 * a / 256)``.
+
+    ``fixed_point`` is ``n`` times ``f``'s known fixed point when the view is
+    not routed, and None when it is (the shrunk map moves the fixed point).
     """
-    if f.side != 1.0:
-        raise ValueError("rescaling starts from the unit cube")
-    n = grid_side(gamma, eps)
 
-    def fn(x: RealPoint) -> tuple[float, ...]:
-        return tuple(n * v for v in f(tuple(v / n for v in x)))
+    def __init__(self, f: ContractionOracle, eps: float, gamma: float) -> None:
+        if f.side != 1.0:
+            raise ValueError("the grid view starts from an oracle on the unit cube")
+        if not 0 < eps <= 1:
+            raise ValueError(f"eps must be in (0, 1], got {eps}")
+        if gamma > 1:
+            raise ValueError(f"gamma must be at most 1, got {gamma}")
+        self.routed = gamma < eps / 2.0
+        if self.routed:
+            self._scale = 1.0 - eps / 2.0
+            eps = gamma = eps / 2.0
+        else:
+            self._scale = 1.0
+        self._f = f
+        self.k = f.k
+        self.gamma = gamma
+        self.n = grid_side(gamma, eps)
+        self.side = float(self.n)
+        self.fixed_point = (None if self.routed or f.fixed_point is None
+                            else tuple(self.n * v for v in f.fixed_point))
 
-    def probe_fn(x: RealPoint) -> tuple[float, ...]:
-        return tuple(n * v for v in f.probe(tuple(v / n for v in x)))
+    def _lift(self, y: RealPoint) -> RealPoint:
+        # n * (scale * v), not (n * scale) * v: the two round differently.
+        n, scale = self.n, self._scale
+        return tuple(n * (scale * v) for v in y)
 
-    fix = None if f.fixed_point is None else tuple(n * v for v in f.fixed_point)
-    g = ContractionOracle(fn, f.k, f.gamma, side=float(n), fixed_point=fix,
-                          name=f.name + f"-x{n}", probe_fn=probe_fn)
-    if f.affine_form is not None:
-        A, b = f.affine_form
-        g.affine_form = (A, float(n) * b)
-    g.n = n
-    return g, n
+    def __call__(self, a: Sequence[float]) -> RealPoint:
+        return self._lift(self._f(tuple(v / self.n for v in a)))
+
+    def probe(self, a: Sequence[float]) -> RealPoint:
+        """Evaluate through ``f.probe``: nothing is recorded."""
+        return self._lift(self._f.probe(tuple(v / self.n for v in a)))
 
 
 def sampled_contraction_check(f: ContractionOracle, pairs: int = 10_000,

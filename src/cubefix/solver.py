@@ -18,10 +18,10 @@ A genuine contraction can never empty the candidate set before the residual
 test fires; if that happens anyway, the promise was broken and the result
 carries a ``violation-found`` outcome with the evidence — it is not an error.
 
-``solve_unit_cube`` is the user-facing entry: it routes a weakly-contracting
-or merely non-expansive oracle through the ``(1 - eps/2)`` reduction exactly
-when ``gamma < eps / 2``, rescales the unit cube to the grid, runs ``solve``,
-and scales the answer back.
+``solve_unit_cube`` is the user-facing entry: it runs ``solve`` on the
+:class:`~cubefix.oracles.GridView` of the unit-cube oracle (which shrinks a
+weakly-contracting or merely non-expansive map by ``1 - eps/2`` exactly when
+``gamma < eps / 2``) and scales the answer back.
 """
 
 from __future__ import annotations
@@ -32,16 +32,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .balanced import find_balanced_point, is_balanced, select_query_point
+from .balanced import select_query_point
 from .errors import InstanceTooLargeError, InternalInvariantError
 from .geometry import GridPoint, RealPoint, SignVector, even_count, even_grid, linf_dist, sign_vector
-from .oracles import ContractionOracle, reduce_nonexpansive, rescale_to_grid, strong_to_weak
+from .oracles import ContractionOracle, GridView, strong_to_weak
 
 __all__ = [
     "DEFAULT_CANDIDATE_CAP", "CandidateSet", "RoundRecord", "SolveResult",
     "query_bound", "eliminate", "solve", "solve_unit_cube", "solve_strong",
-    "picard_baseline", "is_balanced", "find_balanced_point", "select_query_point",
-    "InstanceTooLargeError", "InternalInvariantError",
+    "picard_baseline", "InstanceTooLargeError", "InternalInvariantError",
 ]
 
 DEFAULT_CANDIDATE_CAP = 10_000_000
@@ -76,15 +75,12 @@ class CandidateSet:
     def contains_points(self, pts: Sequence[Sequence[int]]) -> np.ndarray:
         """Boolean membership mask for an ``(m, k)`` integer array of points."""
         pts = np.asarray(pts, dtype=np.int64).reshape(-1, self.k)
-        if (self.n + 1) ** self.k < 2 ** 62:
-            dims = (self.n + 1,) * self.k
-            own = np.ravel_multi_index(self.points.T, dims)
-            inside = np.all((pts >= 0) & (pts <= self.n), axis=1)
-            keys = np.zeros(len(pts), dtype=np.int64)
-            keys[inside] = np.ravel_multi_index(pts[inside].T, dims)
-            return inside & np.isin(keys, own)
-        own_set = {tuple(int(v) for v in row) for row in self.points}
-        return np.array([tuple(int(v) for v in row) in own_set for row in pts], dtype=bool)
+        dims = (self.n + 1,) * self.k
+        own = np.ravel_multi_index(self.points.T, dims)
+        inside = np.all((pts >= 0) & (pts <= self.n), axis=1)
+        keys = np.zeros(len(pts), dtype=np.int64)
+        keys[inside] = np.ravel_multi_index(pts[inside].T, dims)
+        return inside & np.isin(keys, own)
 
 
 @dataclass
@@ -177,7 +173,9 @@ def eliminate(T: CandidateSet, a: GridPoint, s: SignVector) -> CandidateSet:
         raise ValueError(f"sign vector entries must be -1, 0 or +1, got {s}")
     b = np.asarray(a, dtype=np.int64) + 2 * s_arr
     d = T.points - b
-    md = np.abs(d).max(axis=1)
+    md = np.abs(d[:, 0])
+    for i in range(1, T.k):
+        np.maximum(md, np.abs(d[:, i]), out=md)
     keep = np.zeros(len(T.points), dtype=bool)
     for i in range(T.k):
         si = int(s_arr[i])
@@ -186,17 +184,14 @@ def eliminate(T: CandidateSet, a: GridPoint, s: SignVector) -> CandidateSet:
     return CandidateSet(points=T.points[keep], n=T.n, t=T.t + 1)
 
 
-def _oracle_grid_side(g: ContractionOracle) -> int:
-    n = getattr(g, "n", None)
-    if n is not None:
-        return int(n)
+def _oracle_grid_side(g: ContractionOracle | GridView) -> int:
     n = round(g.side)
     if abs(g.side - n) > 1e-9:
         raise ValueError(f"grid solve needs an integer side, got {g.side}")
     return int(n)
 
 
-def solve(g: ContractionOracle, gamma: float, *, cap: int = DEFAULT_CANDIDATE_CAP,
+def solve(g: ContractionOracle | GridView, gamma: float, *, cap: int = DEFAULT_CANDIDATE_CAP,
           eliminate_fn: Callable[[CandidateSet, GridPoint, SignVector], CandidateSet] = eliminate,
           on_round: Callable[[RoundRecord, CandidateSet, CandidateSet | None], None] | None = None) -> SolveResult:
     """Run the elimination loop on a grid oracle ``g: [0, n]^k -> [0, n]^k``.
@@ -265,36 +260,24 @@ def solve_unit_cube(f: ContractionOracle, eps: float, gamma: float, *,
                     on_round=None) -> SolveResult:
     """Find an eps-fixed point of ``f`` on the unit cube, or violation evidence.
 
-    Routes through the non-expansive reduction exactly when ``gamma < eps/2``
-    (in particular whenever the oracle is only promised non-expansive), then
-    rescales to ``n = ceil(16 / (gamma' eps'))`` and runs :func:`solve`.  Query
-    counts on ``f`` and on the grid oracle agree one-for-one.
+    Runs :func:`solve` on ``GridView(f, eps, gamma)``, which shrinks ``f`` by
+    ``1 - eps/2`` exactly when ``gamma < eps/2`` (in particular whenever the
+    oracle is only promised non-expansive) and works on ``[0, n]^k`` with
+    ``n = ceil(16 / (gamma' eps'))``.  Query counts on ``f`` and on the grid
+    agree one-for-one.
     """
-    if f.side != 1.0:
-        raise ValueError("solve_unit_cube expects an oracle on the unit cube")
-    if not 0 < eps <= 1:
-        raise ValueError(f"eps must be in (0, 1], got {eps}")
-    if gamma > 1:
-        raise ValueError(f"gamma must be at most 1, got {gamma}")
+    g = GridView(f, eps, gamma)
     queries_before = f.queries
-    routed = gamma < eps / 2.0
-    if routed:
-        inner = reduce_nonexpansive(f, eps)
-        eff_eps = eff_gamma = eps / 2.0
-    else:
-        inner = f
-        eff_eps, eff_gamma = eps, gamma
-    g, n = rescale_to_grid(inner, eff_gamma, eff_eps)
-    res = solve(g, eff_gamma, cap=cap, on_round=on_round)
+    res = solve(g, g.gamma, cap=cap, on_round=on_round)
     spent = f.queries - queries_before
     if spent != res.queries:
         raise InternalInvariantError(
             f"query accounting mismatch: {spent} base queries vs {res.queries} grid queries")
-    res.routed = routed
+    res.routed = g.routed
     res.eps = eps
     res.gamma = gamma
     if res.outcome == OUTCOME_FIXED_POINT:
-        x = tuple(v / n for v in res.answer)
+        x = tuple(v / g.n for v in res.answer)
         last_q, last_ans = f.transcript[len(f.transcript) - 1]
         if linf_dist(last_q, x) > 1e-12:
             raise InternalInvariantError("final answer is not the final query")

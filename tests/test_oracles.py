@@ -1,4 +1,4 @@
-"""Tests for oracle instances, query accounting, and the parameter reductions."""
+"""Tests for oracle instances, query accounting, and the grid view."""
 
 import json
 
@@ -8,14 +8,13 @@ import pytest
 from cubefix.geometry import linf_dist
 from cubefix.oracles import (
     ContractionOracle,
+    GridView,
     InstanceSpec,
     QueryTranscript,
     build_instance,
     grid_side,
     make_affine,
     make_instance,
-    reduce_nonexpansive,
-    rescale_to_grid,
     sampled_contraction_check,
     strong_to_weak,
 )
@@ -89,11 +88,12 @@ def test_grid_side_values():
     assert grid_side(2 ** -8, 2 ** -4) == 16 * 256 * 16
 
 
-def test_rescale_to_grid_constant_map():
+def test_grid_view_constant_map():
     f = make_affine(np.zeros((2, 2)), [0.3, 0.7], 0.5)
-    g, n = rescale_to_grid(f, 0.5, 0.5)
-    assert n == 64
+    g = GridView(f, 0.5, 0.5)
+    assert g.n == 64
     assert g.side == 64.0
+    assert not g.routed
     assert g((0.0, 0.0)) == pytest.approx((0.3 * 64, 0.7 * 64), abs=1e-12)
     assert g.fixed_point == pytest.approx((19.2, 44.8), abs=1e-12)
     # queries pass through to the base oracle
@@ -103,39 +103,91 @@ def test_rescale_to_grid_constant_map():
 def test_rescale_preserves_contraction_factor():
     rng = np.random.default_rng(3)
     spec, f = make_instance("affine", 2, 0.5, 0.5, seed=11)
-    g, n = rescale_to_grid(f, 0.5, 0.5)
+    g = GridView(f, 0.5, 0.5)
     report = sampled_contraction_check(g, pairs=2000, rng=rng)
     assert report["passed"], report["violations"][:1]
 
 
-def test_reduce_nonexpansive_identity():
+def test_grid_view_routes_identity():
     f = make_affine(np.eye(1), [0.0], 0.0)
-    g = reduce_nonexpansive(f, 0.5)
+    g = GridView(f, 0.5, 0.0)
+    assert g.routed
     assert g.gamma == 0.25
-    assert g((1.0,)) == (0.75,)
-    assert g.fixed_point == (0.0,)
+    assert g.n == 256
+    assert g((256.0,)) == (0.75 * 256,)
+    # the shrunk map's fixed point is not f's, so the view knows none
+    assert g.fixed_point is None
 
 
-def test_reduce_nonexpansive_constant():
+def test_grid_view_routed_constant():
     f = make_affine(np.zeros((2, 2)), [0.4, 0.8], 0.0)
-    g = reduce_nonexpansive(f, 0.5)
-    assert g((0.0, 0.0)) == pytest.approx((0.3, 0.6), abs=1e-15)
+    g = GridView(f, 0.5, 0.0)
+    assert g((0.0, 0.0)) == pytest.approx((0.3 * g.n, 0.6 * g.n), abs=1e-12)
 
 
-def test_reduce_nonexpansive_residual_implication():
-    # Any point with small residual under the reduced map has residual <= eps
-    # under the original map.
+def test_grid_view_routed_residual_implication():
+    # Any grid point the solver would accept (residual <= 16 / gamma' under
+    # the shrunk view) scales back to a point with residual <= eps under f.
     eps = 0.5
     rng = np.random.default_rng(5)
     spec, f = make_instance("affine", 2, 0.0, eps, seed=2)
-    g = reduce_nonexpansive(f, eps)
+    g = GridView(f, eps, 0.0)
     checked = 0
     for _ in range(500):
-        x = tuple(rng.uniform(0.0, 1.0, size=2))
-        if linf_dist(g.probe(x), x) <= eps / 2:
+        a = tuple(rng.uniform(0.0, g.n, size=2))
+        if linf_dist(g.probe(a), a) <= 16 / g.gamma:
+            x = tuple(v / g.n for v in a)
             assert linf_dist(f.probe(x), x) <= eps + 1e-12
             checked += 1
     assert checked > 0
+
+
+def _mirror(p, factor):
+    p = np.asarray(p, dtype=float)
+
+    def fn(x):
+        return np.clip(p - factor * (np.asarray(x) - p), 0.0, 1.0)
+
+    return ContractionOracle(fn, len(p), 1.0 - factor, name="mirror")
+
+
+@pytest.mark.parametrize("eps,gamma", [(0.25, 0.5), (0.5, 0.0), (0.3, 0.1), (0.3, 0.15)])
+def test_grid_view_matches_two_step_composition(eps, gamma):
+    rng = np.random.default_rng(17)
+    oracles = [make_instance("affine", k, max(gamma, 0.05), eps, seed=s)[1]
+               for k in (1, 2, 3) for s in range(3)]
+    oracles.append(_mirror(rng.uniform(0.0, 1.0, size=2), 1.0 - gamma))
+    for f in oracles:
+        g = GridView(f, eps, gamma)
+        assert g.routed == (gamma < eps / 2)
+        # the former stack: shrink by (1 - eps/2) when routed, then conjugate
+        # onto [0, n]^k with n from the effective parameters
+        if g.routed:
+            scale, n = 1.0 - eps / 2, grid_side(eps / 2, eps / 2)
+        else:
+            scale, n = None, grid_side(gamma, eps)
+        assert g.n == n and g.side == float(n) and g.k == f.k
+
+        def two_step(a):
+            y = f.probe(tuple(v / n for v in a))
+            if scale is not None:
+                y = tuple(scale * v for v in y)
+            return tuple(n * v for v in y)
+
+        points = [tuple(float(v) for v in rng.integers(0, n + 1, size=f.k))
+                  for _ in range(20)]
+        points += [tuple(rng.uniform(0.0, n, size=f.k)) for _ in range(20)]
+        for a in points:
+            before = f.queries
+            assert g.probe(a) == two_step(a)
+            assert f.queries == before
+            assert g(a) == two_step(a)
+            assert f.queries == before + 1
+            assert f.transcript[before][0] == tuple(v / n for v in a)
+        before = f.queries
+        with pytest.raises(ValueError, match=r"outside \[0, 1\.0\]"):
+            g((n + 1.0,) * f.k)
+        assert f.queries == before
 
 
 def test_strong_to_weak_values():

@@ -14,9 +14,9 @@ from cubefix.geometry import (
 )
 from cubefix.oracles import (
     ContractionOracle,
+    GridView,
     make_affine,
     make_instance,
-    rescale_to_grid,
     strong_to_weak,
 )
 from cubefix.solver import (
@@ -31,9 +31,7 @@ from cubefix.solver import (
 
 
 def grid_oracle(fn, k, gamma, n, fixed_point=None):
-    g = ContractionOracle(fn, k, gamma, side=float(n), fixed_point=fixed_point)
-    g.n = n
-    return g
+    return ContractionOracle(fn, k, gamma, side=float(n), fixed_point=fixed_point)
 
 
 def test_query_bound_matches_ceil_log2():
@@ -55,6 +53,10 @@ def test_contains_points_mask():
     T = CandidateSet.initial(8, 2)
     mask = T.contains_points([(0, 0), (1, 0), (8, 8), (10, 0), (-2, 0)])
     assert list(mask) == [True, False, True, False, False]
+    # (n + 1)^k beyond int64: no flat index exists, and numpy refuses
+    huge = CandidateSet(points=np.zeros((1, 3), dtype=np.int64), n=2 ** 21, t=0)
+    with pytest.raises(ValueError):
+        huge.contains_points([(0, 0, 0)])
 
 
 def test_eliminate_one_dimensional_example():
@@ -108,7 +110,8 @@ def test_solve_constant_grid_map():
 
 def test_solve_affine_grid_instance():
     spec, f = make_instance("affine", 2, 0.5, 0.5, seed=1)
-    g, n = rescale_to_grid(f, 0.5, 0.5)
+    g = GridView(f, 0.5, 0.5)
+    n = g.n
     assert n == 64
     res = solve(g, 0.5)
     assert res.outcome == "fixed-point-found"
@@ -120,7 +123,8 @@ def test_solve_affine_grid_instance():
 def test_solve_k1_query_count_within_bound():
     for seed in range(5):
         spec, f = make_instance("affine", 1, 0.5, 0.25, seed=seed)
-        g, n = rescale_to_grid(f, 0.5, 0.25)
+        g = GridView(f, 0.25, 0.5)
+        n = g.n
         res = solve(g, 0.5)
         assert res.outcome == "fixed-point-found"
         assert res.queries <= query_bound(n, 1) == math.ceil(math.log2(n // 2 + 1)) + 1
@@ -128,7 +132,7 @@ def test_solve_k1_query_count_within_bound():
 
 def test_solve_round_log_shape():
     spec, f = make_instance("affine", 2, 0.5, 0.5, seed=3)
-    g, n = rescale_to_grid(f, 0.5, 0.5)
+    g = GridView(f, 0.5, 0.5)
     res = solve(g, 0.5)
     lines = res.round_log_lines()
     assert len(lines) == res.queries == len(res.rounds)
@@ -142,7 +146,8 @@ def test_solve_round_log_shape():
 def test_solve_halving_and_containment_every_round():
     for seed in range(8):
         spec, f = make_instance("affine", 2, 0.5, 0.5, seed=seed)
-        g, n = rescale_to_grid(f, 0.5, 0.5)
+        g = GridView(f, 0.5, 0.5)
+        n = g.n
         fix = g.fixed_point
         seen = []
 
@@ -162,7 +167,8 @@ def test_residual_small_near_fixed_point():
     # Any y within distance 1 of the fixed point has grid residual <= 2.
     rng = np.random.default_rng(6)
     spec, f = make_instance("affine", 2, 0.5, 0.5, seed=9)
-    g, n = rescale_to_grid(f, 0.5, 0.5)
+    g = GridView(f, 0.5, 0.5)
+    n = g.n
     fix = np.asarray(g.fixed_point)
     for _ in range(200):
         y = np.clip(fix + rng.uniform(-1, 1, size=2), 0, n)
