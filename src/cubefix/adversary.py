@@ -31,7 +31,6 @@ pairwise-distant anchors and out-of-strip answers that agree exactly.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Callable, Sequence
 
@@ -92,11 +91,6 @@ class DiamondMap:
 
     def __repr__(self) -> str:
         return f"DiamondMap(delta={self.delta}, side={self.side!r}, arc={self.arc})"
-
-
-def _to_uv(p: Sequence[float]) -> tuple[float, float]:
-    x, y = p
-    return x + y, y - x
 
 
 def eval_diamond_map(m: DiamondMap, p: Sequence[float]) -> tuple[float, float]:
@@ -236,14 +230,11 @@ class StripFamily:
         self.delta = float(delta)
         band = SQRT2 * self.delta
         self.maps: list[DiamondMap] = []
-        self.labels: list[tuple[int, str]] = []
         for x in range(1, N + 1):
             v_lo = -0.5 + (x - 1) / N
             v_hi = -0.5 + x / N
             self.maps.append(DiamondMap(self.delta, "sw", v_anchor=v_lo + band))
-            self.labels.append((x, "s"))
             self.maps.append(DiamondMap(self.delta, "ne", v_anchor=v_hi - band))
-            self.labels.append((x, "t"))
 
     def pair(self, x: int) -> tuple[DiamondMap, DiamondMap]:
         """The (s_x, t_x) pair for strip ``x`` (1-based)."""
@@ -253,21 +244,6 @@ class StripFamily:
 
     def strip_v_range(self, x: int) -> tuple[float, float]:
         return (-0.5 + (x - 1) / self.N, -0.5 + x / self.N)
-
-    def to_json_obj(self) -> dict:
-        return {"N": self.N, "delta": self.delta,
-                "strips": [{"x": x, "anchor": kind} for x, kind in self.labels]}
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "StripFamily":
-        fam = cls(int(obj["N"]), float(obj["delta"]))
-        want = [{"x": x, "anchor": kind} for x, kind in fam.labels]
-        if obj.get("strips", want) != want:
-            raise ValueError("strip labels do not match the family layout")
-        return fam
 
 
 def strip_family(N: int, delta: float | None = None) -> StripFamily:

@@ -11,7 +11,7 @@ turns membership counting into two running extrema over coordinates, so
 coverage counts are exact integer computations over (short) int columns.
 Since ``min(s * d) = -max(-s * d)``, the test reads ``M(s) >= M(-s)`` with
 ``M(s) = max(s * (x - q))``: one pass scores both ``s`` and ``-s``, so
-``coverage_counts`` makes ``2**(k-1)`` passes for the full sign set.
+``coverage_counts`` scores the whole sign table in ``2**(k-1)`` passes.
 Thresholds compare ``2 * count >= |T|`` in integers; no rationals, no floats.
 
 Three search routines:
@@ -81,25 +81,26 @@ def _columns(points: np.ndarray, span: int) -> list[np.ndarray]:
 
 
 def coverage_counts(cols: Sequence[np.ndarray], q: Sequence[int], signs: np.ndarray) -> np.ndarray:
-    """For each sign vector, how many column points its pyramid union at ``q`` covers.
+    """For each full sign vector, how many column points its pyramid union at ``q`` covers.
 
-    With ``d_i = x_i - q_i`` and ``M(s) = max_i s_i * d_i``, sign ``s`` covers
-    a point iff ``max_i s_i d_i + min_i s_i d_i >= 0``, that is iff
-    ``M(s) >= M(-s)``.  Negating ``s`` swaps the two sides, so when ``signs``
-    is the full :func:`all_sign_vectors` table one pass per ``s_0 = +1``
-    vector scores the pair: ``cov(s) = #{M(s) >= M(-s)}`` and
-    ``cov(-s) = #{M(s) <= M(-s)}``.  Any other list of full sign vectors
-    takes one pass per vector.  Exact integer arithmetic in the column dtype
-    (see :func:`_columns`), over blocks of ``_BLOCK_ROWS`` rows so that a
-    pass's temporaries stay in cache.
+    ``signs`` must be the :func:`all_sign_vectors` table of the columns'
+    dimension; any other table raises ``ValueError``.  With ``d_i = x_i - q_i``
+    and ``M(s) = max_i s_i * d_i``, sign ``s`` covers a point iff
+    ``max_i s_i d_i + min_i s_i d_i >= 0``, that is iff ``M(s) >= M(-s)``.
+    Negating ``s`` swaps the two sides, so one pass per ``s_0 = +1`` vector
+    scores the pair: ``cov(s) = #{M(s) >= M(-s)}`` and
+    ``cov(-s) = #{M(s) <= M(-s)}``.  Exact integer arithmetic in the column
+    dtype (see :func:`_columns`), over blocks of ``_BLOCK_ROWS`` rows so that
+    a pass's temporaries stay in cache.
     """
     k, m = len(cols), len(cols[0])
-    signs = np.asarray(signs)
-    full = len(signs) == 1 << k and np.array_equal(signs, _sign_table(k))
-    pos = (signs > 0).tolist()
-    picks = [(j, pos[j]) for j in range(len(signs) // 2 if full else 0, len(signs))]
+    table = _sign_table(k)
+    if not np.array_equal(signs, table):
+        raise ValueError(f"coverage_counts needs the full all_sign_vectors({k}) table")
+    half = len(table) // 2
+    pos = (table[half:] > 0).tolist()
     qs = [int(v) for v in q]
-    out = np.zeros(len(signs), dtype=np.int64)
+    out = np.zeros(len(table), dtype=np.int64)
     w = min(m, _BLOCK_ROWS)
     up, down = np.empty(w, cols[0].dtype), np.empty(w, cols[0].dtype)
     flag = np.empty(w, dtype=bool)
@@ -108,12 +109,11 @@ def coverage_counts(cols: Sequence[np.ndarray], q: Sequence[int], signs: np.ndar
         terms = [(-di, di) for di in d]  # indexed by s_i > 0
         r = len(d[0])
         a, b, f = up[:r], down[:r], flag[:r]
-        for j, p in picks:
+        for j, p in enumerate(pos, start=half):
             _max_into(a, [t[pi] for t, pi in zip(terms, p)])
             _max_into(b, [t[1 - pi] for t, pi in zip(terms, p)])
             out[j] += np.count_nonzero(np.greater_equal(a, b, out=f))
-            if full:
-                out[-1 - j] += np.count_nonzero(np.less_equal(a, b, out=f))
+            out[-1 - j] += np.count_nonzero(np.less_equal(a, b, out=f))
     return out
 
 
@@ -164,10 +164,10 @@ def _validate_even_subset(pts: np.ndarray, n: int) -> None:
 
 def _median_interval(vals: np.ndarray) -> tuple[int, int]:
     """Closed integer interval of weak medians: counts on both sides >= half."""
-    v = np.sort(vals)
-    m = len(v)
+    m = len(vals)
     c = (m + 1) // 2
-    return int(v[c - 1]), int(v[m - c])
+    lo, hi = np.partition(vals, (c - 1, m - c))[[c - 1, m - c]]
+    return int(lo), int(hi)
 
 
 def _find_balanced_k1(pts: np.ndarray, n: int) -> GridPoint:
@@ -193,24 +193,23 @@ class _BranchBound:
     taking ``lo_i`` where ``s_i > 0`` and ``hi_i`` otherwise (moving ``q``
     against ``s`` only grows every accumulated term), so a box where some
     sign's best corner still covers less than half of ``T`` contains no
-    balanced point.  Splitting the first unresolved coordinate, lower half
-    first, visits surviving leaves in lexicographic order.
+    balanced point.  Signs are tested one at a time with the max + min
+    identity, stopping at the first that fails.  Splitting the first
+    unresolved coordinate, lower half first, visits surviving leaves in
+    lexicographic order.
     """
 
     def __init__(self, pts: np.ndarray, n: int, k: int):
+        self.pts = pts
         self.m = len(pts)
         self.k = k
         self.signs = all_sign_vectors(k)
-        self.cols = _columns(pts, n)
         self.n = n
 
-    def _coverage(self, si: int, q: np.ndarray) -> int:
-        return int(coverage_counts(self.cols, q, self.signs[si:si + 1])[0])
-
     def _box_feasible(self, lo: np.ndarray, hi: np.ndarray) -> bool:
-        for si, s in enumerate(self.signs):
-            corner = np.where(s > 0, lo, hi)
-            if 2 * self._coverage(si, corner) < self.m:
+        for s in self.signs:
+            sd = s * (self.pts - np.where(s > 0, lo, hi))
+            if 2 * np.count_nonzero(sd.max(axis=1) + sd.min(axis=1) >= 0) < self.m:
                 return False
         return True
 
@@ -301,15 +300,8 @@ def _descend(cols, q: np.ndarray, n: int, signs: np.ndarray, m: int,
                 moves.append(np.sign(agg).astype(np.int64))
             moves.extend(-s for s in signs[failing])
             moves.extend(dirs)
-            seen = set()
             for dvec in moves:
-                key = tuple(int(v) for v in dvec)
-                if key in seen:
-                    continue
-                seen.add(key)
                 q2 = np.clip(q + step * dvec, 0, n)
-                if np.array_equal(q2, q):
-                    continue
                 d2, cov2 = score(q2)
                 evals += 1
                 if d2 < deficit:
@@ -340,10 +332,7 @@ def select_query_point(T, n: int, k: int) -> GridPoint:
     signs = all_sign_vectors(k)
     dirs = _unit_directions(k)
     cols = _columns(pts, n)
-    c = (m + 1) // 2
-    meds = np.array([np.partition(col, (c - 1, m - c))[[c - 1, m - c]] for col in cols],
-                    dtype=np.int64)
-    lo_med, hi_med = meds[:, 0], meds[:, 1]
+    lo_med, hi_med = np.array([_median_interval(col) for col in cols], dtype=np.int64).T
     mid = np.array([(int(col.min()) + int(col.max())) // 2 for col in cols], dtype=np.int64)
     centre = np.full(k, n // 2, dtype=np.int64)
     starts = [lo_med, hi_med, mid, centre, (lo_med + hi_med) // 2]

@@ -125,21 +125,14 @@ def even_points_near(center: Sequence[float], n: int, k: int) -> np.ndarray:
     return np.array(pts, dtype=np.int64).reshape(len(pts), k)
 
 
-def sign_vector(a: Sequence[float], ga: Sequence[float], tolerance: float = 0.0) -> SignVector:
-    """Coordinate-wise sign of ``ga - a``, with ties within ``tolerance`` mapped to 0.
-
-    ``tolerance=0.0`` gives the exact mathematical sign.  A positive tolerance
-    treats differences of magnitude at most ``tolerance`` as zero, e.g.
-    ``sign_vector((0, 0), (1e-12, -2), tolerance=1e-9) == (0, -1)``.
-    """
-    if tolerance < 0:
-        raise ValueError("tolerance must be nonnegative")
+def sign_vector(a: Sequence[float], ga: Sequence[float]) -> SignVector:
+    """Coordinate-wise exact sign of ``ga - a``: ``+1``, ``-1`` or ``0`` on a tie."""
     if len(a) != len(ga):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(ga)}")
     out = []
     for ai, gi in zip(a, ga):
         d = gi - ai
-        if abs(d) <= tolerance:
+        if d == 0:
             out.append(0)
         elif d > 0:
             out.append(1)

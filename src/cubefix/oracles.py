@@ -51,16 +51,6 @@ class QueryTranscript:
     def __getitem__(self, i: int) -> tuple[RealPoint, RealPoint]:
         return self.entries[i]
 
-    def to_json_obj(self) -> list[dict]:
-        return [{"query": list(q), "answer": list(a)} for q, a in self.entries]
-
-    @classmethod
-    def from_json_obj(cls, obj: list[dict]) -> "QueryTranscript":
-        t = cls()
-        for e in obj:
-            t.append(tuple(float(v) for v in e["query"]), tuple(float(v) for v in e["answer"]))
-        return t
-
 
 class ContractionOracle:
     """Query-counted black box for a map of ``[0, side]^k`` into itself.
@@ -79,7 +69,6 @@ class ContractionOracle:
         side: float = 1.0,
         fixed_point: RealPoint | None = None,
         name: str = "oracle",
-        probe_fn: Callable[[RealPoint], Sequence[float]] | None = None,
     ) -> None:
         if k < 1:
             raise ValueError(f"dimension must be at least 1, got {k}")
@@ -88,7 +77,6 @@ class ContractionOracle:
         if gamma > 1:
             raise ValueError(f"contraction margin gamma must be at most 1, got {gamma}")
         self._fn = fn
-        self._probe_fn = fn if probe_fn is None else probe_fn
         self.k = k
         self.gamma = float(gamma)
         self.side = float(side)
@@ -120,10 +108,11 @@ class ContractionOracle:
     def probe(self, x: Sequence[float]) -> RealPoint:
         """Evaluate without recording.  For instance validation and tests only;
         the solver never calls this (query counts would be meaningless).
-        A wrapping oracle passes its base oracle's probe as ``probe_fn``, so
-        nothing is recorded anywhere along the chain."""
+        Only this oracle's own record is skipped: a map that queries another
+        oracle still records there, so total search's watcher, whose map
+        queries the caller's oracle, is never probed."""
         xs = self._check_point(x, "query")
-        return self._check_point(self._probe_fn(xs), "answer")
+        return self._check_point(self._fn(xs), "answer")
 
 
 def _affine_fixed_point(A: np.ndarray, b: np.ndarray, side: float) -> RealPoint | None:

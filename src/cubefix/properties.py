@@ -83,10 +83,9 @@ def _cycle_k(t: int, ks: tuple[int, ...]) -> int:
     return ks[t % len(ks)]
 
 
-def fixed_point_region_suite(trials: int = 200, rng: np.random.Generator | None = None,
+def fixed_point_region_suite(trials: int, rng: np.random.Generator,
                              ks: tuple[int, ...] = (2, 3)) -> dict:
     """High-residual queries locate the fixed point in the union at ``a + 4s``."""
-    rng = np.random.default_rng(0) if rng is None else rng
     failures, witnesses, checks = 0, [], 0
     for t in range(trials):
         k = _cycle_k(t, ks)
@@ -115,10 +114,9 @@ def fixed_point_region_suite(trials: int = 200, rng: np.random.Generator | None 
                    {"qualifying_checks": checks})
 
 
-def around_containment_suite(trials: int = 200, rng: np.random.Generator | None = None,
+def around_containment_suite(trials: int, rng: np.random.Generator,
                              ks: tuple[int, ...] = (2, 3)) -> dict:
     """Radius-1 balls around union points at apex ``b + 2s`` stay in the union at ``b``."""
-    rng = np.random.default_rng(0) if rng is None else rng
     n = 20
     failures, witnesses, checks, skipped = 0, [], 0, 0
     for t in range(trials):
@@ -156,16 +154,16 @@ def around_containment_suite(trials: int = 200, rng: np.random.Generator | None 
                    {"point_checks": checks, "skipped_trials": skipped})
 
 
-def escape_pyramid_suite(trials: int = 200, rng: np.random.Generator | None = None,
-                         ks: tuple[int, ...] = (2, 3), n: int = 8) -> dict:
+def escape_pyramid_suite(trials: int, rng: np.random.Generator,
+                         ks: tuple[int, ...] = (2, 3)) -> dict:
     """For every coordinate some pyramid at the query point misses the kept union.
 
-    Exhaustive over the full integer grid ``[0, n]^k`` per trial, all in exact
+    Exhaustive over the full integer grid ``[0, 8]^k`` per trial, all in exact
     integer arithmetic: the union at apex ``a + 2s`` is disjoint from
     ``P_j(a, -s_j)`` when ``s_j != 0`` and from both ``P_j(a, +-1)`` when
     ``s_j = 0``.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
+    n = 8
     grids = {k: np.stack(np.meshgrid(*([np.arange(n + 1)] * k), indexing="ij"),
                          axis=-1).reshape(-1, k).astype(np.int64) for k in set(ks)}
     failures, witnesses, checks = 0, [], 0
@@ -196,10 +194,9 @@ def escape_pyramid_suite(trials: int = 200, rng: np.random.Generator | None = No
                    {"disjointness_checks": checks, "grid_side": n})
 
 
-def balanced_point_suite(trials: int = 200, rng: np.random.Generator | None = None,
+def balanced_point_suite(trials: int, rng: np.random.Generator,
                          ks: tuple[int, ...] = (1, 2, 3)) -> dict:
     """Balanced-point search succeeds on random even subsets and re-verifies."""
-    rng = np.random.default_rng(0) if rng is None else rng
     failures, witnesses = 0, []
     for t in range(trials):
         k = _cycle_k(t, ks)
@@ -220,7 +217,7 @@ def balanced_point_suite(trials: int = 200, rng: np.random.Generator | None = No
     return _report("balanced-point-exists", trials, failures, witnesses)
 
 
-def halving_containment_suite(trials: int = 50, rng: np.random.Generator | None = None,
+def halving_containment_suite(trials: int, rng: np.random.Generator,
                               ks: tuple[int, ...] = (2, 3),
                               eliminate_fn: Callable | None = None) -> dict:
     """Full solver runs halve the candidate set and keep the fixed point's even ball.
@@ -229,7 +226,6 @@ def halving_containment_suite(trials: int = 50, rng: np.random.Generator | None 
     halving breaks surface as internal-invariant errors, containment breaks as
     direct witness records.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     gamma = 0.8
     n = 64
     failures, witnesses, rounds_seen, eliminations = 0, [], 0, 0
@@ -272,10 +268,9 @@ def halving_containment_suite(trials: int = 50, rng: np.random.Generator | None 
                                "mutated": eliminate_fn is not None})
 
 
-def extension_consistency_suite(trials: int = 100, rng: np.random.Generator | None = None,
+def extension_consistency_suite(trials: int, rng: np.random.Generator,
                                 ks: tuple[int, ...] = (1, 2, 3)) -> dict:
     """Extensions of violation-free transcripts match them exactly and contract."""
-    rng = np.random.default_rng(0) if rng is None else rng
     failures, witnesses = 0, []
     for t in range(trials):
         k = _cycle_k(t, ks)
@@ -304,9 +299,8 @@ def extension_consistency_suite(trials: int = 100, rng: np.random.Generator | No
                    witnesses)
 
 
-def diagonal_pairs_suite(trials: int = 50, rng: np.random.Generator | None = None) -> dict:
+def diagonal_pairs_suite(trials: int, rng: np.random.Generator) -> dict:
     """The adversary map fixes its anchor and is non-expansive on diagonal pairs."""
-    rng = np.random.default_rng(0) if rng is None else rng
     failures, witnesses = 0, []
     arc_len = 1.0 / np.sqrt(2.0)
     for t in range(trials):
@@ -332,10 +326,9 @@ def diagonal_pairs_suite(trials: int = 50, rng: np.random.Generator | None = Non
     return _report("diamond-map-diagonal-nonexpansive", trials, failures, witnesses)
 
 
-def rescale_contraction_suite(trials: int = 50, rng: np.random.Generator | None = None,
+def rescale_contraction_suite(trials: int, rng: np.random.Generator,
                               ks: tuple[int, ...] = (1, 2, 3)) -> dict:
     """The grid view keeps its declared contraction factor on sampled pairs."""
-    rng = np.random.default_rng(0) if rng is None else rng
     failures, witnesses = 0, []
     for t in range(trials):
         k = _cycle_k(t, ks)

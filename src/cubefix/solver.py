@@ -56,14 +56,13 @@ class CandidateSet:
 
     points: np.ndarray
     n: int
-    t: int = 0
 
     @classmethod
     def initial(cls, n: int, k: int, cap: int = DEFAULT_CANDIDATE_CAP) -> "CandidateSet":
         count = even_count(n, k)
         if count > cap:
             raise InstanceTooLargeError(count, cap)
-        return cls(points=even_grid(n, k), n=n, t=0)
+        return cls(points=even_grid(n, k), n=n)
 
     @property
     def k(self) -> int:
@@ -181,7 +180,7 @@ def eliminate(T: CandidateSet, a: GridPoint, s: SignVector) -> CandidateSet:
         si = int(s_arr[i])
         if si != 0:
             keep |= si * d[:, i] == md
-    return CandidateSet(points=T.points[keep], n=T.n, t=T.t + 1)
+    return CandidateSet(points=T.points[keep], n=T.n)
 
 
 def _oracle_grid_side(g: ContractionOracle | GridView) -> int:

@@ -7,12 +7,12 @@ with a claimed margin ``gamma`` and returns one of two certificates:
 * a pair of queries witnessing ``|f(q1) - f(q2)| > (1 - gamma) |q1 - q2|``.
 
 It simply runs the elimination solver and, after every oracle call, scans the
-new transcript entry against all earlier ones.  On a genuine contraction no
-pair can ever violate, so the run is query-for-query identical to
-:func:`~cubefix.solver.solve_unit_cube`; on a broken promise the solver either
-stops at a valid answer anyway (which is a correct total-search output) or the
-scan fires, and a solver failure without a violating pair in the transcript is
-impossible.
+new entry of the oracle's own transcript against the run's earlier ones.  On a
+genuine contraction no pair can ever violate, so the run is query-for-query
+identical to :func:`~cubefix.solver.solve_unit_cube`; on a broken promise the
+solver either stops at a valid answer anyway (which is a correct total-search
+output) or the scan fires, and a solver failure without a violating pair in
+the transcript is impossible.
 
 ``extend_consistent`` is the converse direction: any finite violation-free
 transcript extends to a full ``(1 - gamma)``-contraction on the cube that
@@ -90,40 +90,36 @@ def _as_entries(transcript: QueryTranscript | Iterable[Entry]) -> list[Entry]:
     return out
 
 
-def _pair_violation(e1: Entry, e2: Entry, gamma: float, margin: float) -> tuple[float, float] | None:
-    lhs = linf_dist(e1[1], e2[1])
-    rhs = (1.0 - gamma) * linf_dist(e1[0], e2[0])
-    if lhs > rhs + margin:
-        return lhs, rhs
-    return None
+def _scan_entry(entries: Sequence[Entry], start: int, t2: int,
+                gamma: float) -> ViolationCertificate | None:
+    """Check entry ``t2`` against every earlier one, in order.
 
-
-def _scan_entry(entries: Sequence[Entry], t2: int, gamma: float,
-                margin: float) -> ViolationCertificate | None:
-    """Check entry ``t2`` (1-based) against every earlier entry, in order."""
-    e2 = entries[t2 - 1]
+    Indices are 1-based and count from ``entries[start]``, so a run that
+    begins part-way through a transcript numbers its own queries from 1.
+    """
+    q2, a2 = entries[start + t2 - 1]
     for t1 in range(1, t2):
-        e1 = entries[t1 - 1]
-        hit = _pair_violation(e1, e2, gamma, margin)
-        if hit is not None:
-            return ViolationCertificate(t1, t2, e1[0], e2[0], e1[1], e2[1], *hit)
+        q1, a1 = entries[start + t1 - 1]
+        lhs = linf_dist(a1, a2)
+        rhs = (1.0 - gamma) * linf_dist(q1, q2)
+        if lhs > rhs:
+            return ViolationCertificate(t1, t2, q1, q2, a1, a2, lhs, rhs)
     return None
 
 
-def scan_violations(transcript: QueryTranscript | Iterable[Entry], gamma: float,
-                    margin: float = 0.0) -> ViolationCertificate | None:
+def scan_violations(transcript: QueryTranscript | Iterable[Entry],
+                    gamma: float) -> ViolationCertificate | None:
     """First pair violating the claimed factor, or None if the transcript is consistent.
 
     Pairs are visited in the order a growing transcript would discover them:
-    by the later index ``t2``, then by ``t1 < t2``.  The comparison is strict;
-    ``margin`` (default 0) requires the excess to exceed it, for callers that
-    want slack against float noise.  Example: two identity answers
-    ``(0,0) -> (0,0)`` and ``(1,1) -> (1,1)`` under a claimed gamma of 0.5
-    give lhs 1 > rhs 0.5.
+    by the later index ``t2``, then by ``t1 < t2``.  The comparison is
+    strict, in float arithmetic on the recorded values.  Example: two
+    identity answers ``(0,0) -> (0,0)`` and ``(1,1) -> (1,1)`` under a
+    claimed gamma of 0.5 give lhs 1 > rhs 0.5.
     """
     entries = _as_entries(transcript)
     for t2 in range(2, len(entries) + 1):
-        cert = _scan_entry(entries, t2, gamma, margin)
+        cert = _scan_entry(entries, 0, t2, gamma)
         if cert is not None:
             return cert
     return None
@@ -178,37 +174,38 @@ class _ViolationFound(Exception):
 
 
 def solve_total(f: ContractionOracle, eps: float, gamma: float, *,
-                margin: float = 0.0, cap: int = DEFAULT_CANDIDATE_CAP) -> TotalResult:
+                cap: int = DEFAULT_CANDIDATE_CAP) -> TotalResult:
     """Run the promise solver on an untrusted oracle, scanning for violations.
 
-    Wraps ``f`` so each query is checked against all earlier ones before the
-    solver sees the answer; the first violating pair aborts the run and is
-    returned as the certificate.  If no pair ever violates, the solver's
-    fixed point stands (on a transcript consistent with some ``(1 - gamma)``-
-    contraction the solver cannot fail, so a solver failure here without a
-    violating pair raises :class:`InternalInvariantError`).
+    Wraps ``f`` so each query, once ``f`` has recorded it, is checked against
+    the run's earlier entries of ``f.transcript`` before the solver sees the
+    answer; the first violating pair aborts the run and is returned as the
+    certificate.  Certificate indices count from the run's first query, so
+    ``f`` may already have answered queries.  If no pair ever violates, the
+    solver's fixed point stands (on a transcript consistent with some
+    ``(1 - gamma)``-contraction the solver cannot fail, so a solver failure
+    here without a violating pair raises :class:`InternalInvariantError`).
     """
-    entries: list[Entry] = []
+    start = f.queries
+    entries = f.transcript.entries
 
     def fn(x: RealPoint) -> RealPoint:
         y = f(x)
-        entries.append((tuple(float(v) for v in x), tuple(float(v) for v in y)))
-        cert = _scan_entry(entries, len(entries), gamma, margin)
+        cert = _scan_entry(entries, start, f.queries - start, gamma)
         if cert is not None:
             raise _ViolationFound(cert)
         return y
 
-    watched = ContractionOracle(fn, f.k, gamma, side=f.side, probe_fn=f.probe,
-                                name=f"total({f.name})")
+    watched = ContractionOracle(fn, f.k, gamma, side=f.side, name=f"total({f.name})")
     try:
         res = solve_unit_cube(watched, eps, gamma, cap=cap)
     except _ViolationFound as exc:
-        return TotalResult("violation", None, exc.certificate, len(entries))
+        return TotalResult("violation", None, exc.certificate, f.queries - start)
     if res.outcome == OUTCOME_FIXED_POINT:
         return TotalResult("fixed-point", res, None, res.queries)
-    cert = scan_violations(entries, gamma, margin)
+    cert = scan_violations(entries[start:], gamma)
     if cert is not None:
-        return TotalResult("violation", None, cert, len(entries))
+        return TotalResult("violation", None, cert, f.queries - start)
     raise InternalInvariantError(
         f"promise solver failed ({res.outcome}) but the transcript of "
-        f"{len(entries)} queries admits no pair violating gamma={gamma}")
+        f"{f.queries - start} queries admits no pair violating gamma={gamma}")

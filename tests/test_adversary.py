@@ -1,6 +1,5 @@
 """Tests for the diamond-domain non-expansive maps and the strip family."""
 
-import json
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 
 from cubefix.adversary import (
     DiamondMap,
-    StripFamily,
     check_diagonal_nonexpansive,
     eval_diamond_map,
     extend_to_square,
@@ -196,7 +194,6 @@ def test_full_nonexpansive_property_on_arbitrary_pairs():
 def test_strip_family_size_and_anchor_separation():
     fam = strip_family(4)
     assert len(fam.maps) == 8
-    assert fam.labels == [(x, a) for x in range(1, 5) for a in ("s", "t")]
     for x in range(1, 5):
         ms, mt = fam.pair(x)
         assert linf_dist(ms.anchor, mt.anchor) > 0.5
@@ -238,15 +235,3 @@ def test_out_of_strip_queries_cannot_distinguish_the_pair():
         assert any(
             eval_diamond_map(ms, p) != eval_diamond_map(mt, p) for p in inside
         )
-
-
-def test_strip_family_json_round_trip():
-    fam = strip_family(4)
-    obj = json.loads(fam.dumps())
-    assert set(obj) == {"N", "delta", "strips"}
-    assert obj["N"] == 4
-    assert obj["strips"][0] == {"x": 1, "anchor": "s"}
-    back = StripFamily.from_json_obj(obj)
-    assert back.N == fam.N
-    assert back.delta == fam.delta
-    assert [m.anchor for m in back.maps] == [m.anchor for m in fam.maps]

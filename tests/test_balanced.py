@@ -119,8 +119,6 @@ def test_coverage_counts_matches_definition():
                 ]
                 assert list(coverage_counts(cols, q, signs)) == want
                 assert list(reference_coverage_counts(cols, q, signs)) == want
-                for j in range(len(signs)):
-                    assert list(coverage_counts(cols, q, signs[j:j + 1])) == [want[j]]
 
 
 def test_coverage_counts_matches_reference_across_blocks():
@@ -132,7 +130,15 @@ def test_coverage_counts_matches_reference_across_blocks():
         for q in ([0] * k, [n] * k, [int(v) for v in rng.integers(0, n + 1, size=k)]):
             want = reference_coverage_counts(cols, q, signs)
             assert list(coverage_counts(cols, q, signs)) == list(want)
-            assert list(coverage_counts(cols, q, signs[1:2])) == [want[1]]
+
+
+def test_coverage_counts_needs_the_full_sign_table():
+    for k in (1, 3):
+        signs = all_sign_vectors(k)
+        cols = _columns(np.zeros((3, k), dtype=np.int64), 4)
+        for bad in (signs[1:2], signs[:-1], signs[::-1], np.concatenate([signs, signs])):
+            with pytest.raises(ValueError):
+                coverage_counts(cols, [2] * k, bad)
 
 
 def test_find_balanced_full_even_line():
@@ -179,14 +185,16 @@ def test_lex_minimum_random_k2():
 
 
 def test_lex_minimum_random_k3():
+    # Branch-and-bound (k >= 3) against the naive scan, on EVEN(6, 3) and EVEN(4, 4).
     rng = np.random.default_rng(3)
-    grid = list(enumerate_even(6, 3))
-    for _ in range(25):
-        size = int(rng.integers(1, 10))
-        idx = rng.choice(len(grid), size=size, replace=False)
-        T = sorted(grid[i] for i in idx)
-        got = find_balanced_point(T, 6, 3)
-        assert got == naive_lex_minimum(T, 6, 3)
+    for n, k, sets in [(6, 3, 25), (4, 4, 25)]:
+        grid = list(enumerate_even(n, k))
+        for _ in range(sets):
+            size = int(rng.integers(1, 10))
+            idx = rng.choice(len(grid), size=size, replace=False)
+            T = sorted(grid[i] for i in idx)
+            got = find_balanced_point(T, n, k)
+            assert got == naive_lex_minimum(T, n, k)
 
 
 def test_select_query_point_balanced_k3_k4():

@@ -227,13 +227,16 @@ GOLDEN_SHA256 = {
         "8749d1ba0a77ccf3a5f7078f53526ee703aeebc7f0c1d6be9bacbbe09792c015",
     ("verify-lemmas", "--trials", "20"):
         "d589f3e1cf1583a7e12f12054ee1a0362ff3a698d7d68c804239fead89b105b0",
+    ("adversary-demo", "--trials", "200", "--seed", "0"):
+        "d9e7dd5e4d5072fe9207ca303e959c912521f419bdd31792b75d22630a5924c8",
 }
 
 
 def test_outputs_match_golden_bytes(tmp_path):
     # Pins the exact bytes of each result file, so a refactor that claims to
     # preserve behaviour (the routed and unrouted solve paths, total search,
-    # bench rows, property-suite reports) is checked rather than assumed.
+    # bench rows, property-suite reports, the strip-family demo) is checked
+    # rather than assumed.
     # The routed diamond runs on n = 712, not a power of two, so its grid
     # answers change if the two scalings are folded into one factor.
     # Runs in-process to stay fast.

@@ -114,7 +114,7 @@ def test_around_even_witness_exhaustive_small():
 def test_sign_vector_examples():
     assert sign_vector((0, 0, 0), (3.2, -0.5, 0)) == (1, -1, 0)
     assert sign_vector((0.25, 0.5), (0.25, 0.5)) == (0, 0)
-    assert sign_vector((0, 0), (1e-12, -2), tolerance=1e-9) == (0, -1)
+    assert sign_vector((0, 0), (1e-12, -2)) == (1, -1)
 
 
 def test_all_sign_vectors_shape():

@@ -10,7 +10,6 @@ from cubefix.oracles import (
     ContractionOracle,
     GridView,
     InstanceSpec,
-    QueryTranscript,
     build_instance,
     grid_side,
     make_affine,
@@ -69,15 +68,6 @@ def test_oracle_rejects_out_of_domain_query():
         f((1.5, 0.0))
     with pytest.raises(ValueError):
         f((0.0,))
-
-
-def test_transcript_json_round_trip():
-    t = QueryTranscript()
-    t.append((0.0, 1.0), (0.5, 0.5))
-    obj = t.to_json_obj()
-    assert obj == [{"query": [0.0, 1.0], "answer": [0.5, 0.5]}]
-    back = QueryTranscript.from_json_obj(json.loads(json.dumps(obj)))
-    assert back.entries == t.entries
 
 
 def test_grid_side_values():

@@ -54,7 +54,7 @@ def test_contains_points_mask():
     mask = T.contains_points([(0, 0), (1, 0), (8, 8), (10, 0), (-2, 0)])
     assert list(mask) == [True, False, True, False, False]
     # (n + 1)^k beyond int64: no flat index exists, and numpy refuses
-    huge = CandidateSet(points=np.zeros((1, 3), dtype=np.int64), n=2 ** 21, t=0)
+    huge = CandidateSet(points=np.zeros((1, 3), dtype=np.int64), n=2 ** 21)
     with pytest.raises(ValueError):
         huge.contains_points([(0, 0, 0)])
 
@@ -63,12 +63,11 @@ def test_eliminate_one_dimensional_example():
     T = CandidateSet.initial(8, 1)
     survivors = eliminate(T, (4,), (1,))
     assert [tuple(p) for p in survivors.points] == [(6,), (8,)]
-    assert survivors.t == T.t + 1
 
 
 def test_eliminate_keeps_contained_set():
     # Points already deep inside the pyramid union survive unchanged.
-    T = CandidateSet(points=np.array([(8, 0), (8, 2), (8, 4)]), n=8, t=0)
+    T = CandidateSet(points=np.array([(8, 0), (8, 2), (8, 4)]), n=8)
     survivors = eliminate(T, (2, 2), (1, 0))
     assert [tuple(p) for p in survivors.points] == [(8, 0), (8, 2), (8, 4)]
 

@@ -18,9 +18,9 @@ from cubefix.solver import solve_unit_cube
 from cubefix.total import extend_consistent, scan_violations, solve_total
 
 
-def violation_exists_by_definition(entries, gamma, margin=0.0):
+def violation_exists_by_definition(entries, gamma):
     for (q1, a1), (q2, a2) in itertools.combinations(entries, 2):
-        if linf_dist(a1, a2) > (1 - gamma) * linf_dist(q1, q2) + margin:
+        if linf_dist(a1, a2) > (1 - gamma) * linf_dist(q1, q2):
             return True
     return False
 
@@ -103,13 +103,6 @@ def test_scan_returns_first_pair_in_discovery_order():
         assert got == expected
         found_any += got is not None
     assert found_any > 10
-
-
-def test_scan_margin_flag():
-    tr = [((0.0,), (0.2,)), ((1.0,), (0.9,))]  # lhs 0.7, rhs 0.5 at gamma 0.5
-    assert scan_violations(tr, 0.5) is not None
-    assert scan_violations(tr, 0.5, margin=0.3) is None
-    assert scan_violations(tr, 0.5, margin=0.1) is not None
 
 
 def test_scan_matches_exhaustive_pair_check():
@@ -258,3 +251,28 @@ def test_transcript_object_accepted_by_scan():
     t.append((1.0, 1.0), (1.0, 1.0))
     cert = scan_violations(t, 0.5)
     assert cert is not None and (cert.t1, cert.t2) == (1, 2)
+
+
+def test_solve_total_counts_from_the_runs_first_query():
+    # The oracle answered two queries before the run, and those two already
+    # violate the claim between themselves.  The run scans only its own
+    # queries and numbers them from 1.
+    p = (0.3, 0.6)
+
+    def expanding(x):
+        return tuple(min(1.0, max(0.0, pi - 1.5 * (xi - pi))) for xi, pi in zip(x, p))
+
+    gamma = 0.25
+    f = ContractionOracle(expanding, 2, gamma, name="expanding")
+    f((0.0, 0.0))
+    f((1.0, 1.0))
+    assert scan_violations(f.transcript, gamma) is not None
+    start = f.queries
+    total = solve_total(f, 0.25, gamma)
+    assert total.kind == "violation"
+    cert = total.certificate
+    assert 1 <= cert.t1 < cert.t2 <= total.queries
+    assert (cert.q1, cert.a1) == f.transcript.entries[start + cert.t1 - 1]
+    assert (cert.q2, cert.a2) == f.transcript.entries[start + cert.t2 - 1]
+    assert f.queries - start == total.queries
+    assert cert.lhs > cert.rhs
