@@ -13,6 +13,8 @@ Since ``min(s * d) = -max(-s * d)``, the test reads ``M(s) >= M(-s)`` with
 ``M(s) = max(s * (x - q))``: one pass scores both ``s`` and ``-s``, so
 ``coverage_counts`` scores the whole sign table in ``2**(k-1)`` passes.
 Thresholds compare ``2 * count >= |T|`` in integers; no rationals, no floats.
+Every routine reads a set as ``k`` columns: a solver ``CandidateSet`` lends
+its own, already in the grid's dtype; a plain point array is converted once.
 
 Three search routines:
 
@@ -40,44 +42,45 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InternalInvariantError
-from .geometry import GridPoint
+from .geometry import GridPoint, column_dtype, grid_dtype
 
 _DESCENT_BUDGET = 10_000
 _BLOCK_ROWS = 1 << 16  # 128 KiB per int16 block temporary: a pass stays in L2
 
 
-def all_sign_vectors(k: int) -> np.ndarray:
-    """All ``2**k`` full sign vectors as an array, in lexicographic order (-1 first)."""
-    return _sign_table(k).copy()
-
-
 @lru_cache(maxsize=None)
-def _sign_table(k: int) -> np.ndarray:
+def all_sign_vectors(k: int) -> np.ndarray:
+    """All ``2**k`` full sign vectors, lexicographic (-1 first): one read-only table per k."""
     table = np.array(list(product((-1, 1), repeat=k)), dtype=np.int64)
     table.flags.writeable = False
     return table
 
 
-def _as_points(T, k: int | None = None) -> np.ndarray:
-    pts = getattr(T, "points", T)
-    pts = np.asarray(pts, dtype=np.int64)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    if k is not None and pts.shape[1] != k:
-        raise ValueError(f"points have dimension {pts.shape[1]}, expected {k}")
-    return pts
+def _point_columns(T) -> list[np.ndarray]:
+    """The int64 columns of a point array, or of a set's ``points``; 1-d input is k = 1."""
+    pts = np.asarray(getattr(T, "points", T), dtype=np.int64)
+    return list(pts.reshape(-1, 1).T if pts.ndim == 1 else pts.T)
 
 
-def _columns(points: np.ndarray, span: int) -> list[np.ndarray]:
-    """Contiguous per-coordinate columns in the narrowest dtype the kernel can use.
+def _columns(points: np.ndarray | Sequence[np.ndarray], span: int) -> list[np.ndarray]:
+    """Contiguous columns of an ``(m, k)`` array or ``k`` columns, in ``column_dtype(span)``.
 
-    ``span`` must bound ``|x_i|`` and ``|x_i - q_i|`` for every point ``x``
-    and every ``q`` the columns are scored against.  The dtype is the
-    narrowest whose maximum is at least ``span``, so every coordinate, every
-    difference ``x_i - q_i`` and its negation fit without wrapping.
+    ``span`` must bound ``|x_i|`` and ``|x_i - q_i|`` for every point ``x`` and
+    every ``q`` the columns are scored against; columns in that dtype stay as they are.
     """
-    dt = next((t for t in (np.int16, np.int32) if span <= np.iinfo(t).max), np.int64)
-    return [np.ascontiguousarray(points[:, i].astype(dt)) for i in range(points.shape[1])]
+    cols = list(points.T) if isinstance(points, np.ndarray) else points
+    dt = column_dtype(span)
+    return [np.ascontiguousarray(c, dtype=dt) for c in cols]
+
+
+def _grid_columns(T, n: int, k: int) -> list[np.ndarray]:
+    """Columns of ``T``, a non-empty all-even subset of ``[0, n]^k``, in ``grid_dtype(n)``: a
+    candidate set on that grid lends its own; other input is checked as int64, then narrowed."""
+    cols = T.cols if getattr(T, "n", None) == n else _point_columns(T)
+    if len(cols) != k:
+        raise ValueError(f"points have dimension {len(cols)}, expected {k}")
+    _validate_even_subset(cols, n)
+    return [np.ascontiguousarray(c, dtype=grid_dtype(n)) for c in cols]
 
 
 def coverage_counts(cols: Sequence[np.ndarray], q: Sequence[int], signs: np.ndarray) -> np.ndarray:
@@ -94,7 +97,7 @@ def coverage_counts(cols: Sequence[np.ndarray], q: Sequence[int], signs: np.ndar
     a pass's temporaries stay in cache.
     """
     k, m = len(cols), len(cols[0])
-    table = _sign_table(k)
+    table = all_sign_vectors(k)
     if not np.array_equal(signs, table):
         raise ValueError(f"coverage_counts needs the full all_sign_vectors({k}) table")
     half = len(table) // 2
@@ -124,13 +127,6 @@ def _max_into(buf: np.ndarray, arrays: list[np.ndarray]) -> None:
         np.maximum(buf, x, out=buf)
 
 
-def coverage_deficit(cols: Sequence[np.ndarray], q: Sequence[int], signs: np.ndarray,
-                     m: int) -> tuple[int, np.ndarray]:
-    """Total shortfall ``sum_s max(0, m - 2 * coverage_s)``; zero iff balanced."""
-    cov = coverage_counts(cols, q, signs)
-    return int(np.maximum(0, m - 2 * cov).sum()), cov
-
-
 def is_balanced(q: Sequence[int], T, n: int | None = None) -> bool:
     """Exact balancedness test of ``q`` against ``T`` (a CandidateSet or point array).
 
@@ -140,26 +136,26 @@ def is_balanced(q: Sequence[int], T, n: int | None = None) -> bool:
     {0, 2, 4, 6, 8}: q = 4 is balanced, q = 0 is not (only one of five points
     lies in the downward pyramid); a singleton's own point is balanced.
     """
-    pts = _as_points(T)
-    m = len(pts)
+    cols = T.cols if hasattr(T, "cols") else _point_columns(T)
+    m = len(cols[0])
     if m == 0:
         return True
-    k = pts.shape[1]
+    k = len(cols)
     if len(q) != k:
         raise ValueError(f"query point has dimension {len(q)}, expected {k}")
-    lo, hi = (0, int(n)) if n is not None else (int(pts.min()), int(pts.max()))
+    lo, hi = (0, int(n)) if n is not None else (min(int(c.min()) for c in cols),
+                                                 max(int(c.max()) for c in cols))
     span = max(hi, *q) - min(0, lo, *q)
-    cov = coverage_counts(_columns(pts, span), q, _sign_table(k))
+    cov = coverage_counts(_columns(cols, span), q, all_sign_vectors(k))
     return bool(np.all(2 * cov >= m))
 
 
-def _validate_even_subset(pts: np.ndarray, n: int) -> None:
-    if len(pts) == 0:
+def _validate_even_subset(cols: Sequence[np.ndarray], n: int) -> None:
+    if len(cols[0]) == 0:
         raise ValueError("cannot search an empty candidate set")
-    if pts.min() < 0 or pts.max() > n:
-        raise ValueError(f"candidate points must lie in [0, {n}]^k")
-    if np.any(pts & 1):
-        raise ValueError("candidate points must have all-even coordinates")
+    for c in cols:
+        if c.min() < 0 or c.max() > n or np.bitwise_or.reduce(c) & 1:
+            raise ValueError(f"candidate points must be all-even points of [0, {n}]^k")
 
 
 def _median_interval(vals: np.ndarray) -> tuple[int, int]:
@@ -170,20 +166,15 @@ def _median_interval(vals: np.ndarray) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def _find_balanced_k1(pts: np.ndarray, n: int) -> GridPoint:
-    lo, _hi = _median_interval(pts[:, 0])
-    return (max(0, min(lo, n)),)
-
-
-def _find_balanced_k2(pts: np.ndarray, n: int) -> GridPoint | None:
-    u_lo, u_hi = _median_interval(pts[:, 0] + pts[:, 1])
-    v_lo, v_hi = _median_interval(pts[:, 0] - pts[:, 1])
-    for q1 in range(n + 1):
-        a = max(u_lo - q1, q1 - v_hi, 0)
-        b = min(u_hi - q1, q1 - v_lo, n)
-        if a <= b:
-            return (q1, a)
-    return None
+def _k2_point(u_lo: int, u_hi: int, v_lo: int, v_hi: int, n: int) -> GridPoint | None:
+    """Lexicographically smallest ``q`` in ``[0, n]^2`` with ``q1 + q2`` in ``[u_lo, u_hi]``
+    and ``q1 - q2`` in ``[v_lo, v_hi]``, or None.  The ``q1`` admitting some
+    ``max(u_lo - q1, q1 - v_hi, 0) <= q2 <= min(u_hi - q1, q1 - v_lo, n)`` form one interval.
+    """
+    q1 = max(0, -(-(u_lo + v_lo) // 2), u_lo - n, v_lo)
+    if q1 > min(n, (u_hi + v_hi) // 2, v_hi + n, u_hi):
+        return None
+    return (q1, max(u_lo - q1, q1 - v_hi, 0))
 
 
 class _BranchBound:
@@ -239,17 +230,17 @@ def find_balanced_point(T, n: int, k: int) -> GridPoint:
     always exists for such sets; if the search comes up empty that guarantee
     is broken and :class:`InternalInvariantError` is raised.
     """
-    pts = _as_points(T, k)
-    _validate_even_subset(pts, n)
+    cols = _grid_columns(T, n, k)
     if k == 1:
-        q = _find_balanced_k1(pts, n)
+        q = (_median_interval(cols[0])[0],)
     elif k == 2:
-        q = _find_balanced_k2(pts, n)
+        q = _k2_point(*_median_interval(cols[0] + cols[1]),
+                      *_median_interval(cols[0] - cols[1]), n)
     else:
-        q = _BranchBound(pts, n, k).search()
+        q = _BranchBound(np.stack(cols, axis=1).astype(np.int64), n, k).search()
     if q is None:
         raise InternalInvariantError(
-            f"no balanced point exists for a {len(pts)}-point even set in [0, {n}]^{k}")
+            f"no balanced point exists for a {len(cols[0])}-point even set in [0, {n}]^{k}")
     return q
 
 
@@ -267,7 +258,7 @@ def _unit_directions(k: int) -> list[np.ndarray]:
 
 def _descend(cols, q: np.ndarray, n: int, signs: np.ndarray, m: int,
              dirs: list[np.ndarray], budget: int, memo: dict) -> np.ndarray | None:
-    """First-improvement descent on the coverage deficit from one start.
+    """First-improvement descent on the deficit ``sum_s max(0, m - 2 cov_s)`` from one start.
 
     Step sizes sweep a halving schedule from ~n/2 down to 1; candidate moves
     are the aggregate direction of the failing signs, each failing sign
@@ -281,7 +272,8 @@ def _descend(cols, q: np.ndarray, n: int, signs: np.ndarray, m: int,
     def score(p: np.ndarray) -> tuple[int, np.ndarray]:
         key = tuple(int(v) for v in p)
         if key not in memo:
-            memo[key] = coverage_deficit(cols, p, signs, m)
+            cov = coverage_counts(cols, p, signs)
+            memo[key] = int(np.maximum(0, m - 2 * cov).sum()), cov
         return memo[key]
 
     deficit, cov = score(q)
@@ -324,14 +316,12 @@ def select_query_point(T, n: int, k: int) -> GridPoint:
     points.  The result is always exactly balanced; only which balanced
     point gets returned varies by path.
     """
-    pts = _as_points(T, k)
     if k <= 2:
-        return find_balanced_point(pts, n, k)
-    _validate_even_subset(pts, n)
-    m = len(pts)
+        return find_balanced_point(T, n, k)
+    cols = _grid_columns(T, n, k)
+    m = len(cols[0])
     signs = all_sign_vectors(k)
     dirs = _unit_directions(k)
-    cols = _columns(pts, n)
     lo_med, hi_med = np.array([_median_interval(col) for col in cols], dtype=np.int64).T
     mid = np.array([(int(col.min()) + int(col.max())) // 2 for col in cols], dtype=np.int64)
     centre = np.full(k, n // 2, dtype=np.int64)
@@ -342,4 +332,4 @@ def select_query_point(T, n: int, k: int) -> GridPoint:
         q = _descend(cols, q0, n, signs, m, dirs, _DESCENT_BUDGET, memo)
         if q is not None:
             return tuple(int(v) for v in q)
-    return find_balanced_point(pts, n, k)
+    return find_balanced_point(T, n, k)

@@ -5,33 +5,25 @@ integer inputs never pass through floating point; the array helpers produce
 integer numpy arrays for the vectorised kernels in :mod:`cubefix.balanced`.
 
 Conventions: points are tuples (or 1-d arrays) of length ``k``; coordinates
-are indexed from 0; a pyramid ``PyramidSpec(apex, coord, sign)`` is the set
+are indexed from 0; the pyramid ``P_i(apex, sign)`` is the set
 
-    { y : sign * (y[coord] - apex[coord]) == linf_dist(y, apex) },
+    { y : sign * (y[i] - apex[i]) == linf_dist(y, apex) },
 
 i.e. the points whose largest coordinate-wise deviation from the apex is
-attained at ``coord`` with direction ``sign``.  The apex itself lies in every
-pyramid.
+attained at ``i`` with direction ``sign``.  The apex itself lies in every
+pyramid.  The even grid is stored as ``k`` columns in :func:`grid_dtype`.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 GridPoint = tuple[int, ...]
 RealPoint = tuple[float, ...]
 SignVector = tuple[int, ...]
-
-
-class PyramidSpec(NamedTuple):
-    """One axis-aligned l-infinity pyramid."""
-
-    apex: Sequence[float]
-    coord: int
-    sign: int
 
 
 def linf_dist(x: Sequence[float], y: Sequence[float]) -> float:
@@ -41,28 +33,10 @@ def linf_dist(x: Sequence[float], y: Sequence[float]) -> float:
     return max(abs(a - b) for a, b in zip(x, y))
 
 
-def in_pyramid(y: Sequence[float], p: PyramidSpec) -> bool:
-    """Whether ``y`` lies in the pyramid ``p``.
-
-    Uses exact comparison: the deviation at ``p.coord`` must equal the
-    maximum deviation and point in direction ``p.sign``.
-    """
-    if p.sign not in (-1, 1):
-        raise ValueError(f"pyramid sign must be +1 or -1, got {p.sign}")
-    if not 0 <= p.coord < len(p.apex):
-        raise ValueError(f"pyramid coordinate {p.coord} out of range")
-    diffs = [yi - ai for yi, ai in zip(y, p.apex)]
-    return p.sign * diffs[p.coord] == max(abs(d) for d in diffs)
-
-
 def in_pyramid_union(y: Sequence[float], apex: Sequence[float], s: Sequence[int]) -> bool:
     """Whether ``y`` lies in the union of pyramids P_i(apex, s_i) over i with s_i != 0.
 
-    Equivalent to checking each pyramid separately; uses the identity that the
-    union membership holds iff ``max_i(s_i * d_i) + max_i(-|d_i|) >= 0`` where
-    ``d = y - apex`` restricted to nonzero signs is compared against the full
-    max deviation.  Implemented directly from the definition for clarity; the
-    fast kernels live in :mod:`cubefix.balanced`.
+    Straight from the definition; the fast kernels live in :mod:`cubefix.balanced`.
     """
     diffs = [yi - ai for yi, ai in zip(y, apex)]
     m = max(abs(d) for d in diffs)
@@ -75,22 +49,32 @@ def even_count(n: int, k: int) -> int:
     return (n // 2 + 1) ** k
 
 
-def enumerate_even(n: int, k: int) -> Iterator[GridPoint]:
-    """Stream the all-even grid points of ``{0, 2, ..., n}**k`` in lexicographic order."""
-    _check_nk(n, k)
-    return product(range(0, n + 1, 2), repeat=k)
+def column_dtype(span: int) -> type:
+    """The narrowest of int16, int32 and int64 whose maximum is at least ``span``."""
+    return next((t for t in (np.int16, np.int32) if span <= np.iinfo(t).max), np.int64)
 
 
-def even_grid(n: int, k: int) -> np.ndarray:
-    """All of EVEN(n, k) as an ``(m, k)`` int64 array in lexicographic row order.
+def grid_dtype(n: int) -> type:
+    """Column dtype of the grid ``[0, n]^k``: the narrowest holding ``2n + 4``, which bounds
+    ``x_i``, ``x_i - b_i`` for an apex ``b`` in ``[-2, n + 2]^k``, ``x_1 +- x_2`` and
+    ``x_i - q_i`` for ``q`` in ``[0, n]^k``."""
+    return column_dtype(2 * n + 4)
 
-    Callers are responsible for size checks; the solver's candidate cap lives
-    in :class:`cubefix.solver.CandidateSet`.
+
+def even_grid(n: int, k: int) -> list[np.ndarray]:
+    """All of EVEN(n, k) as ``k`` contiguous columns in :func:`grid_dtype`, rows in lex order.
+
+    Built by ``repeat``/``tile`` in that dtype.  Callers are responsible for
+    size checks; the candidate cap lives in :class:`cubefix.solver.CandidateSet`.
     """
     _check_nk(n, k)
-    vals = np.arange(0, n + 1, 2, dtype=np.int64)
-    grids = np.meshgrid(*([vals] * k), indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=1)
+    vals = np.arange(0, n + 1, 2, dtype=grid_dtype(n))
+    h = len(vals)
+    cols = []
+    for i in range(k):
+        c = vals if i == k - 1 else np.repeat(vals, h ** (k - 1 - i))
+        cols.append(c if i == 0 else np.tile(c, h ** i))
+    return cols
 
 
 def around_contains(center: Sequence[float], y: Sequence[float], n: int | None = None) -> bool:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -37,19 +38,34 @@ from .geometry import RealPoint, linf_dist
 
 
 class QueryTranscript:
-    """Ordered record of (query, answer) pairs, both tuples of floats."""
+    """Ordered record of (query, answer) pairs, both tuples of floats.
+
+    Kept flat as ``2k`` doubles per entry, 8 bytes a coordinate instead of a
+    float object and two tuples per entry; ``t[i]``, ``t[i:j]`` rebuild pairs.
+    """
 
     def __init__(self) -> None:
-        self.entries: list[tuple[RealPoint, RealPoint]] = []
+        self._flat, self._k = array("d"), 0
 
     def append(self, query: RealPoint, answer: RealPoint) -> None:
-        self.entries.append((query, answer))
+        if len(answer) != len(query) or self._k not in (0, len(query)):
+            raise ValueError("transcript entries must all have one dimension")
+        self._k = len(query)
+        self._flat.extend(query + answer)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._flat) // (2 * self._k) if self._k else 0
 
-    def __getitem__(self, i: int) -> tuple[RealPoint, RealPoint]:
-        return self.entries[i]
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        k, lo = self._k, 2 * self._k * range(len(self))[i]
+        return tuple(self._flat[lo:lo + k]), tuple(self._flat[lo + k:lo + 2 * k])
+
+    @property
+    def entries(self) -> list[tuple[RealPoint, RealPoint]]:
+        """Every pair, oldest first, in a new list."""
+        return self[:]
 
 
 class ContractionOracle:

@@ -43,7 +43,7 @@ from .errors import InstanceTooLargeError, InternalInvariantError
 from .geometry import (around_contains, even_grid, even_points_near, in_pyramid_union,
                        linf_dist, sign_vector)
 from .oracles import AffineOracle, GridView, _random_affine_params, sampled_contraction_check
-from .solver import OUTCOME_FIXED_POINT, eliminate, solve
+from .solver import OUTCOME_FIXED_POINT, CandidateSet, eliminate, solve
 from .total import extend_consistent, scan_violations
 
 __all__ = [
@@ -202,18 +202,18 @@ def balanced_point_suite(trials: int, rng: np.random.Generator,
         k = _cycle_k(t, ks)
         n = int(rng.choice([2, 4, 6, 8, 10]))
         full = even_grid(n, k)
-        keep = rng.random(len(full)) < rng.uniform(0.1, 0.9)
+        keep = rng.random(len(full[0])) < rng.uniform(0.1, 0.9)
         if not keep.any():
-            keep[rng.integers(0, len(full))] = True
-        T = full[keep]
+            keep[rng.integers(0, len(full[0]))] = True
+        T = CandidateSet([c[keep] for c in full], n)
         for finder in (find_balanced_point, select_query_point):
             q = finder(T, n, k)
             ok = (all(0 <= v <= n for v in q) and is_balanced(q, T, n)
-                  and _balanced_literal(q, T, k))
+                  and _balanced_literal(q, T.points, k))
             if not ok:
                 failures += 1
                 witnesses.append({"finder": finder.__name__, "n": n, "k": k,
-                                  "T": T, "q": q})
+                                  "T": T.points, "q": q})
     return _report("balanced-point-exists", trials, failures, witnesses)
 
 

@@ -34,7 +34,8 @@ import numpy as np
 
 from .balanced import select_query_point
 from .errors import InstanceTooLargeError, InternalInvariantError
-from .geometry import GridPoint, RealPoint, SignVector, even_count, even_grid, linf_dist, sign_vector
+from .geometry import (GridPoint, RealPoint, SignVector, even_count, even_grid, grid_dtype,
+                       linf_dist, sign_vector)
 from .oracles import ContractionOracle, GridView, strong_to_weak
 
 __all__ = [
@@ -52,37 +53,52 @@ OUTCOME_FAILURE = "failure"
 
 @dataclass
 class CandidateSet:
-    """All-even candidate points, kept as lexicographically sorted rows."""
+    """All-even candidate points of ``[0, n]^k`` as ``k`` contiguous columns in ``grid_dtype(n)``.
 
-    points: np.ndarray
+    Row ``j`` is entry ``j`` of every column, in lexicographic order.
+    Elimination and selection read the columns; ``points`` builds int64 rows.
+    """
+
+    cols: list[np.ndarray]
     n: int
+
+    def __post_init__(self) -> None:
+        dt = grid_dtype(self.n)
+        self.cols = [np.ascontiguousarray(c, dtype=dt) for c in self.cols]
 
     @classmethod
     def initial(cls, n: int, k: int, cap: int = DEFAULT_CANDIDATE_CAP) -> "CandidateSet":
         count = even_count(n, k)
         if count > cap:
             raise InstanceTooLargeError(count, cap)
-        return cls(points=even_grid(n, k), n=n)
+        return cls(cols=even_grid(n, k), n=n)
+
+    @property
+    def points(self) -> np.ndarray:
+        """The candidates as ``(m, k)`` int64 rows, built on each access."""
+        return np.stack(self.cols, axis=1).astype(np.int64)
 
     @property
     def k(self) -> int:
-        return self.points.shape[1]
+        return len(self.cols)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.cols[0])
 
     def contains_points(self, pts: Sequence[Sequence[int]]) -> np.ndarray:
-        """Boolean membership mask for an ``(m, k)`` integer array of points."""
+        """Membership mask for an ``(m, k)`` integer array of points, read off the columns."""
         pts = np.asarray(pts, dtype=np.int64).reshape(-1, self.k)
-        dims = (self.n + 1,) * self.k
-        own = np.ravel_multi_index(self.points.T, dims)
-        inside = np.all((pts >= 0) & (pts <= self.n), axis=1)
-        keys = np.zeros(len(pts), dtype=np.int64)
-        keys[inside] = np.ravel_multi_index(pts[inside].T, dims)
-        return inside & np.isin(keys, own)
+        out = np.zeros(len(pts), dtype=bool)
+        for j, p in enumerate(pts.tolist()):
+            if all(0 <= v <= self.n for v in p):
+                idx = np.flatnonzero(self.cols[0] == p[0])
+                for c, v in zip(self.cols[1:], p[1:]):
+                    idx = idx[c[idx] == v]
+                out[j] = len(idx) > 0
+        return out
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundRecord:
     """One solver round: query point, its sign vector, and the shrink."""
 
@@ -99,7 +115,7 @@ class RoundRecord:
                 "queries_so_far": self.queries_so_far}
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveResult:
     """Outcome of a solve run.
 
@@ -115,7 +131,7 @@ class SolveResult:
     answer: tuple | None
     residual: float | None
     queries: int
-    rounds: list[RoundRecord]
+    rounds: tuple[RoundRecord, ...]
     n: int
     k: int
     gamma: float
@@ -158,29 +174,27 @@ def eliminate(T: CandidateSet, a: GridPoint, s: SignVector) -> CandidateSet:
     """Candidates surviving the answer-sign elimination at query point ``a``.
 
     Keeps the points of ``T`` lying in the pyramid union with apex
-    ``b = a + 2s`` (which may stick out of the cube) over the coordinates
-    where ``s`` is nonzero.  Example: on EVEN(8, 1) with a = 4, s = (+1,),
-    the survivors are {6, 8}.  An all-zero ``s`` eliminates nothing and is a
-    usage error.
+    ``b = a + 2s`` (in ``[-2, n + 2]^k``) over the coordinates where ``s`` is
+    nonzero, column by column in the set's dtype: ``d_i = x_i - b_i``, their
+    running ``max |d_i|``, then one mask compresses every column.  Example:
+    on EVEN(8, 1) with a = 4, s = (+1,), the survivors are {6, 8}.  An
+    all-zero ``s`` eliminates nothing and is a usage error.
     """
-    s_arr = np.asarray(s, dtype=np.int64)
-    if s_arr.shape != (T.k,):
-        raise ValueError(f"sign vector has shape {s_arr.shape}, expected ({T.k},)")
-    if not np.any(s_arr):
-        raise ValueError("cannot eliminate with the all-zero sign vector")
-    if not np.all(np.isin(s_arr, (-1, 0, 1))):
-        raise ValueError(f"sign vector entries must be -1, 0 or +1, got {s}")
-    b = np.asarray(a, dtype=np.int64) + 2 * s_arr
-    d = T.points - b
-    md = np.abs(d[:, 0])
-    for i in range(1, T.k):
-        np.maximum(md, np.abs(d[:, i]), out=md)
-    keep = np.zeros(len(T.points), dtype=bool)
-    for i in range(T.k):
-        si = int(s_arr[i])
+    s = tuple(int(v) for v in s)
+    if len(s) != T.k or not any(s) or not set(s) <= {-1, 0, 1}:
+        raise ValueError(f"sign vector must be a nonzero vector in {{-1, 0, 1}}^{T.k}, got {s}")
+    b = [int(ai) + 2 * si for ai, si in zip(a, s)]
+    if not all(-2 <= v <= T.n + 2 for v in b):
+        raise ValueError(f"apex {b} lies outside [-2, {T.n + 2}]^{T.k}")
+    d = [c - bi for c, bi in zip(T.cols, b)]
+    md = np.abs(d[0])
+    for di in d[1:]:
+        np.maximum(md, np.abs(di), out=md)
+    keep = np.zeros(len(T), dtype=bool)
+    for di, si in zip(d, s):
         if si != 0:
-            keep |= si * d[:, i] == md
-    return CandidateSet(points=T.points[keep], n=T.n)
+            keep |= di == (md if si > 0 else -md)
+    return CandidateSet(cols=[c[keep] for c in T.cols], n=T.n)
 
 
 def _oracle_grid_side(g: ContractionOracle | GridView) -> int:
@@ -208,7 +222,7 @@ def solve(g: ContractionOracle | GridView, gamma: float, *, cap: int = DEFAULT_C
     bound = query_bound(n, k)
     threshold = 16.0 / gamma
     cand = CandidateSet.initial(n, k, cap)
-    rounds: list[RoundRecord] = []
+    rounds: tuple[RoundRecord, ...] = ()
     t = 0
     while True:
         t += 1
@@ -221,7 +235,7 @@ def solve(g: ContractionOracle | GridView, gamma: float, *, cap: int = DEFAULT_C
         residual = linf_dist(ga, a)
         if residual <= threshold:
             rec = RoundRecord(t, a, (0,) * k, residual, len(cand), t)
-            rounds.append(rec)
+            rounds += (rec,)
             if on_round is not None:
                 on_round(rec, cand, None)
             return SolveResult(OUTCOME_FIXED_POINT, a, residual, t, rounds, n, k,
@@ -229,7 +243,7 @@ def solve(g: ContractionOracle | GridView, gamma: float, *, cap: int = DEFAULT_C
         s = sign_vector(a, ga)
         if not any(s):
             rec = RoundRecord(t, a, s, residual, len(cand), t)
-            rounds.append(rec)
+            rounds += (rec,)
             if on_round is not None:
                 on_round(rec, cand, None)
             return SolveResult(
@@ -242,7 +256,7 @@ def solve(g: ContractionOracle | GridView, gamma: float, *, cap: int = DEFAULT_C
                 f"halving failed at round {t}: {len(cand)} -> {len(nxt)} candidates "
                 f"(query {a}, sign {s})")
         rec = RoundRecord(t, a, s, residual, len(nxt), t)
-        rounds.append(rec)
+        rounds += (rec,)
         if on_round is not None:
             on_round(rec, cand, nxt)
         if len(nxt) == 0:
@@ -322,8 +336,8 @@ def picard_baseline(f: ContractionOracle, eps: float, start: Sequence[float] | N
         queries += 1
         residual = linf_dist(y, x)
         if residual <= eps:
-            return SolveResult(OUTCOME_FIXED_POINT, x, residual, queries, [],
+            return SolveResult(OUTCOME_FIXED_POINT, x, residual, queries, (),
                                n=0, k=f.k, gamma=f.gamma, query_bound=0, eps=eps)
         x = y
-    return SolveResult(OUTCOME_FAILURE, x, residual, queries, [],
+    return SolveResult(OUTCOME_FAILURE, x, residual, queries, (),
                        n=0, k=f.k, gamma=f.gamma, query_bound=0, eps=eps)

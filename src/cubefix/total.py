@@ -39,7 +39,7 @@ __all__ = [
 Entry = tuple[RealPoint, RealPoint]
 
 
-@dataclass
+@dataclass(slots=True)
 class ViolationCertificate:
     """A pair of oracle queries contradicting the claimed contraction factor.
 
@@ -64,7 +64,7 @@ class ViolationCertificate:
                 "lhs": self.lhs, "rhs": self.rhs}
 
 
-@dataclass
+@dataclass(slots=True)
 class TotalResult:
     """Outcome of a total-search run: exactly one certificate is present."""
 
@@ -83,11 +83,7 @@ class TotalResult:
 
 
 def _as_entries(transcript: QueryTranscript | Iterable[Entry]) -> list[Entry]:
-    raw = getattr(transcript, "entries", transcript)
-    out: list[Entry] = []
-    for q, a in raw:
-        out.append((tuple(float(v) for v in q), tuple(float(v) for v in a)))
-    return out
+    return [(tuple(float(v) for v in q), tuple(float(v) for v in a)) for q, a in transcript]
 
 
 def _scan_entry(entries: Sequence[Entry], start: int, t2: int,
@@ -187,11 +183,10 @@ def solve_total(f: ContractionOracle, eps: float, gamma: float, *,
     here without a violating pair raises :class:`InternalInvariantError`).
     """
     start = f.queries
-    entries = f.transcript.entries
 
     def fn(x: RealPoint) -> RealPoint:
         y = f(x)
-        cert = _scan_entry(entries, start, f.queries - start, gamma)
+        cert = _scan_entry(f.transcript, start, f.queries - start, gamma)
         if cert is not None:
             raise _ViolationFound(cert)
         return y
@@ -203,7 +198,7 @@ def solve_total(f: ContractionOracle, eps: float, gamma: float, *,
         return TotalResult("violation", None, exc.certificate, f.queries - start)
     if res.outcome == OUTCOME_FIXED_POINT:
         return TotalResult("fixed-point", res, None, res.queries)
-    cert = scan_violations(entries[start:], gamma)
+    cert = scan_violations(f.transcript[start:], gamma)
     if cert is not None:
         return TotalResult("violation", None, cert, f.queries - start)
     raise InternalInvariantError(

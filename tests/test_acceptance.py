@@ -22,13 +22,7 @@ from cubefix.adversary import (
     strip_family,
 )
 from cubefix.balanced import find_balanced_point
-from cubefix.geometry import (
-    PyramidSpec,
-    enumerate_even,
-    even_points_near,
-    in_pyramid,
-    linf_dist,
-)
+from cubefix.geometry import even_points_near, linf_dist
 from cubefix.oracles import (
     ContractionOracle,
     InstanceSpec,
@@ -44,6 +38,7 @@ from cubefix.properties import (
 )
 from cubefix.solver import picard_baseline, solve_strong, solve_unit_cube
 from cubefix.total import extend_consistent, scan_violations, solve_total
+from pyramids import PyramidSpec, enumerate_even, in_pyramid
 
 CAP = 10 ** 7
 SEEDS = range(10)
@@ -207,26 +202,68 @@ def balanced_by_definition(q, T):
     return True
 
 
+def balanced_by_definition_batch(grid, members, qs):
+    """``balanced_by_definition`` for many subsets of one grid at once.
+
+    ``members[b]`` marks the grid points of subset ``b`` and ``qs[b]`` is its
+    query point.  Sign ``s`` covers ``x`` iff some coordinate ``i`` has
+    ``s_i * (x_i - q_i) == max_j |x_j - q_j|``: ``x`` lies in ``P_i(q, s_i)``,
+    checked pyramid by pyramid, for every full sign vector and every point.
+    """
+    grid, members, qs = np.asarray(grid), np.asarray(members, dtype=bool), np.asarray(qs)
+    d = grid[None, :, :] - qs[:, None, :]
+    md = np.abs(d).max(axis=2, keepdims=True)
+    m = members.sum(axis=1)
+    ok = np.ones(len(qs), dtype=bool)
+    for s in itertools.product((-1, 1), repeat=grid.shape[1]):
+        covered = (np.asarray(s) * d == md).any(axis=2)
+        ok &= 2 * (covered & members).sum(axis=1) >= m
+    return ok
+
+
+def all_subsets(size):
+    """Membership rows of every non-empty subset of ``size`` points, by bit mask."""
+    masks = np.arange(1, 2 ** size)
+    return (masks[:, None] >> np.arange(size)) & 1 == 1
+
+
+def test_criterion_4_verifier_matches_definition_loop():
+    # The batch verifier against the pyramid-by-pyramid loop, on every subset
+    # of EVEN(n, 2) for n in (2, 4) and every query point of [0, n]^2.
+    for n in (2, 4):
+        grid = list(enumerate_even(n, 2))
+        members = all_subsets(len(grid))
+        for q in itertools.product(range(n + 1), repeat=2):
+            got = balanced_by_definition_batch(grid, members, [q] * len(members))
+            want = [balanced_by_definition(q, [x for x, inside in zip(grid, row) if inside])
+                    for row in members]
+            assert list(got) == want
+
+
 def test_criterion_4_balanced_point_equivalence():
     failures = []
     subsets = 0
     for n in (2, 4, 6):
         grid = list(enumerate_even(n, 2))
-        for mask in range(1, 2 ** len(grid)):
-            T = [grid[i] for i in range(len(grid)) if mask >> i & 1]
-            q = find_balanced_point(T, n, 2)
-            subsets += 1
-            if not balanced_by_definition(q, T):
-                failures.append({"n": n, "T": T, "q": q})
+        members = all_subsets(len(grid))
+        qs = [find_balanced_point([x for x, inside in zip(grid, row) if inside], n, 2)
+              for row in members]
+        subsets += len(qs)
+        ok = balanced_by_definition_batch(grid, members, qs)
+        failures += [{"n": n, "T": [x for x, inside in zip(grid, members[b]) if inside],
+                      "q": qs[b]} for b in np.flatnonzero(~ok)]
     rng = np.random.default_rng(2024)
     grid3 = list(enumerate_even(10, 3))
-    for _ in range(1000):
+    members = np.zeros((1000, len(grid3)), dtype=bool)
+    qs = []
+    for b in range(1000):
         size = int(rng.integers(1, 30))
         idx = rng.choice(len(grid3), size=size, replace=False)
-        T = [grid3[i] for i in idx]
-        q = find_balanced_point(T, 10, 3)
-        if not balanced_by_definition(q, T):
-            failures.append({"n": 10, "k": 3, "T": T, "q": q})
+        members[b, idx] = True
+        qs.append(find_balanced_point([grid3[i] for i in idx], 10, 3))
+    ok = balanced_by_definition_batch(grid3, members, qs)
+    failures += [{"n": 10, "k": 3, "T": [grid3[i] for i in np.flatnonzero(members[b])],
+                  "q": qs[b]} for b in np.flatnonzero(~ok)]
     verdict(4, "balanced points verified exhaustively", failures,
             f"{subsets} exhaustive subsets + 1000 random k=3 sets")
 

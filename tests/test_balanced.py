@@ -18,14 +18,15 @@ import cubefix.balanced
 from cubefix.balanced import (
     _BLOCK_ROWS,
     _columns,
+    _k2_point,
     all_sign_vectors,
     coverage_counts,
     find_balanced_point,
     is_balanced,
     select_query_point,
 )
-from cubefix.geometry import PyramidSpec, enumerate_even, in_pyramid
 from cubefix.solver import CandidateSet, eliminate
+from pyramids import PyramidSpec, enumerate_even, in_pyramid
 
 
 def covered_by_definition(x, q, s) -> bool:
@@ -195,6 +196,30 @@ def test_lex_minimum_random_k3():
             T = sorted(grid[i] for i in idx)
             got = find_balanced_point(T, n, k)
             assert got == naive_lex_minimum(T, n, k)
+
+
+def k2_point_by_scan(u_lo, u_hi, v_lo, v_hi, n):
+    """The k = 2 lexicographic minimum by scanning q1 over 0..n."""
+    for q1 in range(n + 1):
+        a = max(u_lo - q1, q1 - v_hi, 0)
+        b = min(u_hi - q1, q1 - v_lo, n)
+        if a <= b:
+            return (q1, a)
+    return None
+
+
+def test_k2_interval_intersection_matches_scan():
+    rng = np.random.default_rng(9)
+    hits = misses = 0
+    for _ in range(20_000):
+        n = int(rng.integers(0, 41))
+        u_lo, u_hi = sorted(int(v) for v in rng.integers(-4, 2 * n + 5, size=2))
+        v_lo, v_hi = sorted(int(v) for v in rng.integers(-n - 4, n + 5, size=2))
+        want = k2_point_by_scan(u_lo, u_hi, v_lo, v_hi, n)
+        assert _k2_point(u_lo, u_hi, v_lo, v_hi, n) == want
+        hits += want is not None
+        misses += want is None
+    assert hits > 1000 and misses > 1000
 
 
 def test_select_query_point_balanced_k3_k4():

@@ -9,17 +9,15 @@ from hypothesis import strategies as st
 
 from cubefix.balanced import all_sign_vectors
 from cubefix.geometry import (
-    PyramidSpec,
     around_contains,
-    enumerate_even,
     even_count,
     even_grid,
     even_points_near,
-    in_pyramid,
     in_pyramid_union,
     linf_dist,
     sign_vector,
 )
+from pyramids import PyramidSpec, enumerate_even, in_pyramid
 
 
 def test_linf_dist_basic_values():
@@ -87,9 +85,11 @@ def test_enumerate_even_strictly_lexicographic():
 
 
 def test_even_grid_matches_enumeration():
-    g = even_grid(6, 2)
-    assert g.dtype == np.int64
-    assert [tuple(row) for row in g] == list(enumerate_even(6, 2))
+    for n, k in [(6, 2), (8, 1), (4, 3)]:
+        g = even_grid(n, k)
+        assert len(g) == k
+        assert all(c.dtype == np.int16 and c.flags.c_contiguous for c in g)
+        assert [tuple(int(v) for v in row) for row in zip(*g)] == list(enumerate_even(n, k))
 
 
 def test_around_contains_examples():

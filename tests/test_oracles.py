@@ -10,6 +10,7 @@ from cubefix.oracles import (
     ContractionOracle,
     GridView,
     InstanceSpec,
+    QueryTranscript,
     build_instance,
     grid_side,
     make_affine,
@@ -235,3 +236,21 @@ def test_reflection_family_fixed_point_at_centre():
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         make_instance("moebius", 2, 0.5, 0.5, seed=0)
+
+
+def test_transcript_rebuilds_pairs_exactly():
+    t = QueryTranscript()
+    assert len(t) == 0 and t.entries == [] and t[0:5] == []
+    pairs = [((0.1, 1 / 3), (5e-324, 1.0)), ((0.0, 0.7), (0.25, 2 ** -40)),
+             ((1.0, 0.5), (0.5, 0.5))]
+    for q, a in pairs:
+        t.append(q, a)
+    assert len(t) == 3
+    assert t.entries == pairs and list(t) == pairs
+    assert t[0] == pairs[0] and t[-1] == pairs[-1] and t[1:] == pairs[1:]
+    with pytest.raises(IndexError):
+        t[3]
+    for q, a in [((0.0,), (0.0,)), ((0.0, 0.0), (0.0,))]:
+        with pytest.raises(ValueError):
+            t.append(q, a)
+    assert len(t) == 3

@@ -53,10 +53,10 @@ def test_contains_points_mask():
     T = CandidateSet.initial(8, 2)
     mask = T.contains_points([(0, 0), (1, 0), (8, 8), (10, 0), (-2, 0)])
     assert list(mask) == [True, False, True, False, False]
-    # (n + 1)^k beyond int64: no flat index exists, and numpy refuses
-    huge = CandidateSet(points=np.zeros((1, 3), dtype=np.int64), n=2 ** 21)
-    with pytest.raises(ValueError):
-        huge.contains_points([(0, 0, 0)])
+    # (n + 1)^k beyond int64: no flat index exists, and none is needed
+    huge = CandidateSet(cols=np.zeros((3, 1), dtype=np.int64), n=2 ** 21)
+    mask = huge.contains_points([(0, 0, 0), (0, 0, 2), (2 ** 21, 0, 0)])
+    assert list(mask) == [True, False, False]
 
 
 def test_eliminate_one_dimensional_example():
@@ -67,7 +67,7 @@ def test_eliminate_one_dimensional_example():
 
 def test_eliminate_keeps_contained_set():
     # Points already deep inside the pyramid union survive unchanged.
-    T = CandidateSet(points=np.array([(8, 0), (8, 2), (8, 4)]), n=8)
+    T = CandidateSet(cols=[[8, 8, 8], [0, 2, 4]], n=8)
     survivors = eliminate(T, (2, 2), (1, 0))
     assert [tuple(p) for p in survivors.points] == [(8, 0), (8, 2), (8, 4)]
 
