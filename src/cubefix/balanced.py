@@ -13,8 +13,10 @@ Since ``min(s * d) = -max(-s * d)``, the test reads ``M(s) >= M(-s)`` with
 ``M(s) = max(s * (x - q))``: one pass scores both ``s`` and ``-s``, so
 ``coverage_counts`` scores the whole sign table in ``2**(k-1)`` passes.
 Thresholds compare ``2 * count >= |T|`` in integers; no rationals, no floats.
-Every routine reads a set as ``k`` columns: a solver ``CandidateSet`` lends
-its own, already in the grid's dtype; a plain point array is converted once.
+The searches read a set as ``k`` columns in the grid's dtype: a solver
+``CandidateSet`` lends its own as they are, and a plain point array is
+checked and narrowed once by :func:`~cubefix.geometry.grid_columns`.
+``is_balanced`` scores int64 columns, so its query point may lie anywhere.
 
 Three search routines:
 
@@ -42,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InternalInvariantError
-from .geometry import GridPoint, column_dtype, grid_dtype
+from .geometry import GridPoint, grid_columns
 
 _DESCENT_BUDGET = 10_000
 _BLOCK_ROWS = 1 << 16  # 128 KiB per int16 block temporary: a pass stays in L2
@@ -57,30 +59,20 @@ def all_sign_vectors(k: int) -> np.ndarray:
 
 
 def _point_columns(T) -> list[np.ndarray]:
-    """The int64 columns of a point array, or of a set's ``points``; 1-d input is k = 1."""
-    pts = np.asarray(getattr(T, "points", T), dtype=np.int64)
+    """Columns of a point array in its own dtype, or of a set's ``points``; 1-d input is k = 1."""
+    pts = np.asarray(getattr(T, "points", T))
     return list(pts.reshape(-1, 1).T if pts.ndim == 1 else pts.T)
-
-
-def _columns(points: np.ndarray | Sequence[np.ndarray], span: int) -> list[np.ndarray]:
-    """Contiguous columns of an ``(m, k)`` array or ``k`` columns, in ``column_dtype(span)``.
-
-    ``span`` must bound ``|x_i|`` and ``|x_i - q_i|`` for every point ``x`` and
-    every ``q`` the columns are scored against; columns in that dtype stay as they are.
-    """
-    cols = list(points.T) if isinstance(points, np.ndarray) else points
-    dt = column_dtype(span)
-    return [np.ascontiguousarray(c, dtype=dt) for c in cols]
 
 
 def _grid_columns(T, n: int, k: int) -> list[np.ndarray]:
     """Columns of ``T``, a non-empty all-even subset of ``[0, n]^k``, in ``grid_dtype(n)``: a
-    candidate set on that grid lends its own; other input is checked as int64, then narrowed."""
-    cols = T.cols if getattr(T, "n", None) == n else _point_columns(T)
+    candidate set on that grid lends its own; other input goes through ``grid_columns``."""
+    cols = T.cols if getattr(T, "n", None) == n else grid_columns(_point_columns(T), n)
     if len(cols) != k:
         raise ValueError(f"points have dimension {len(cols)}, expected {k}")
-    _validate_even_subset(cols, n)
-    return [np.ascontiguousarray(c, dtype=grid_dtype(n)) for c in cols]
+    if len(cols[0]) == 0:
+        raise ValueError("cannot search an empty candidate set")
+    return cols
 
 
 def coverage_counts(cols: Sequence[np.ndarray], q: Sequence[int], signs: np.ndarray) -> np.ndarray:
@@ -93,8 +85,9 @@ def coverage_counts(cols: Sequence[np.ndarray], q: Sequence[int], signs: np.ndar
     Negating ``s`` swaps the two sides, so one pass per ``s_0 = +1`` vector
     scores the pair: ``cov(s) = #{M(s) >= M(-s)}`` and
     ``cov(-s) = #{M(s) <= M(-s)}``.  Exact integer arithmetic in the column
-    dtype (see :func:`_columns`), over blocks of ``_BLOCK_ROWS`` rows so that
-    a pass's temporaries stay in cache.
+    dtype, which must hold every ``|x_i - q_i|`` (``grid_dtype(n)`` does for
+    ``q`` in ``[0, n]^k``), over blocks of ``_BLOCK_ROWS`` rows so that a
+    pass's temporaries stay in cache.
     """
     k, m = len(cols), len(cols[0])
     table = all_sign_vectors(k)
@@ -127,35 +120,23 @@ def _max_into(buf: np.ndarray, arrays: list[np.ndarray]) -> None:
         np.maximum(buf, x, out=buf)
 
 
-def is_balanced(q: Sequence[int], T, n: int | None = None) -> bool:
+def is_balanced(q: Sequence[int], T) -> bool:
     """Exact balancedness test of ``q`` against ``T`` (a CandidateSet or point array).
 
-    ``n`` is the grid side when known: the points are then taken to lie in
-    ``[0, n]^k`` without a pass over them.  ``q`` may lie anywhere.  An empty
-    ``T`` makes every point vacuously balanced.  Examples on the k = 1 set
+    Scores int64 columns, so ``q`` may lie anywhere.  An empty ``T`` makes
+    every point vacuously balanced.  Examples on the k = 1 set
     {0, 2, 4, 6, 8}: q = 4 is balanced, q = 0 is not (only one of five points
     lies in the downward pyramid); a singleton's own point is balanced.
     """
-    cols = T.cols if hasattr(T, "cols") else _point_columns(T)
+    cols = [c.astype(np.int64) for c in _point_columns(T)]
     m = len(cols[0])
     if m == 0:
         return True
     k = len(cols)
     if len(q) != k:
         raise ValueError(f"query point has dimension {len(q)}, expected {k}")
-    lo, hi = (0, int(n)) if n is not None else (min(int(c.min()) for c in cols),
-                                                 max(int(c.max()) for c in cols))
-    span = max(hi, *q) - min(0, lo, *q)
-    cov = coverage_counts(_columns(cols, span), q, all_sign_vectors(k))
+    cov = coverage_counts(cols, q, all_sign_vectors(k))
     return bool(np.all(2 * cov >= m))
-
-
-def _validate_even_subset(cols: Sequence[np.ndarray], n: int) -> None:
-    if len(cols[0]) == 0:
-        raise ValueError("cannot search an empty candidate set")
-    for c in cols:
-        if c.min() < 0 or c.max() > n or np.bitwise_or.reduce(c) & 1:
-            raise ValueError(f"candidate points must be all-even points of [0, {n}]^k")
 
 
 def _median_interval(vals: np.ndarray) -> tuple[int, int]:

@@ -120,8 +120,7 @@ def cmd_solve(args) -> int:
         out["result"] = res.to_json_obj()
         exit_code = 2 if res.outcome == OUTCOME_VIOLATION else 0
     if args.baseline:
-        base_oracle = build_instance(InstanceSpec.from_json_obj(spec.to_json_obj()))
-        base = picard_baseline(base_oracle, eps)
+        base = picard_baseline(build_instance(spec), eps)
         out["baseline"] = {"queries": base.queries, "outcome": base.outcome,
                            "residual": base.residual,
                            "answer": None if base.answer is None else list(base.answer)}
@@ -188,8 +187,7 @@ def _bench_run(family: str, k: int, eps: float, gamma: float, seed: int, args) -
                    outcome=res.outcome, bound=res.query_bound,
                    within=res.queries <= res.query_bound)
         if args.baseline:
-            base = picard_baseline(build_instance(
-                InstanceSpec.from_json_obj(spec.to_json_obj())), eps)
+            base = picard_baseline(build_instance(spec), eps)
             rec["picard"] = base.queries
     except InstanceTooLargeError:
         rec.update(outcome="instance-too-large", within=True)

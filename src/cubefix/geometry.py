@@ -49,16 +49,30 @@ def even_count(n: int, k: int) -> int:
     return (n // 2 + 1) ** k
 
 
-def column_dtype(span: int) -> type:
-    """The narrowest of int16, int32 and int64 whose maximum is at least ``span``."""
-    return next((t for t in (np.int16, np.int32) if span <= np.iinfo(t).max), np.int64)
-
-
 def grid_dtype(n: int) -> type:
-    """Column dtype of the grid ``[0, n]^k``: the narrowest holding ``2n + 4``, which bounds
-    ``x_i``, ``x_i - b_i`` for an apex ``b`` in ``[-2, n + 2]^k``, ``x_1 +- x_2`` and
-    ``x_i - q_i`` for ``q`` in ``[0, n]^k``."""
-    return column_dtype(2 * n + 4)
+    """Column dtype of the grid ``[0, n]^k``: the narrowest of int16, int32 and int64 holding
+    ``2n + 4``, which bounds ``x_i``, ``x_i - b_i`` for an apex ``b`` in ``[-2, n + 2]^k``,
+    ``x_1 +- x_2`` and ``x_i - q_i`` for ``q`` in ``[0, n]^k``."""
+    span = 2 * n + 4
+    return np.int16 if span <= 2 ** 15 - 1 else np.int32 if span <= 2 ** 31 - 1 else np.int64
+
+
+def grid_columns(cols: Sequence[Sequence[int]], n: int) -> list[np.ndarray]:
+    """Points from outside the solver as ``k`` contiguous columns in :func:`grid_dtype`.
+
+    Raises ``ValueError`` unless the columns are 1-d integer arrays of one length whose
+    values are all even and in ``[0, n]``.  The check runs in each column's own dtype,
+    before narrowing, so a value that would wrap into range (65538 is 2 in int16) is refused.
+    """
+    cols = [np.asarray(c) for c in cols]
+    if any(c.ndim != 1 for c in cols) or len({len(c) for c in cols}) > 1:
+        raise ValueError("candidate columns must be one-dimensional and of equal length")
+    for c in cols:
+        if len(c) and (c.dtype.kind not in "iu" or c.min() < 0 or int(c.max()) > n
+                       or np.bitwise_or.reduce(c) & 1):
+            raise ValueError(f"candidate points must be all-even integer points of [0, {n}]^k")
+    dt = grid_dtype(n)
+    return [np.ascontiguousarray(c, dtype=dt) for c in cols]
 
 
 def even_grid(n: int, k: int) -> list[np.ndarray]:

@@ -208,7 +208,7 @@ def balanced_point_suite(trials: int, rng: np.random.Generator,
         T = CandidateSet([c[keep] for c in full], n)
         for finder in (find_balanced_point, select_query_point):
             q = finder(T, n, k)
-            ok = (all(0 <= v <= n for v in q) and is_balanced(q, T, n)
+            ok = (all(0 <= v <= n for v in q) and is_balanced(q, T)
                   and _balanced_literal(q, T.points, k))
             if not ok:
                 failures += 1

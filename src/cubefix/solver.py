@@ -34,7 +34,7 @@ import numpy as np
 
 from .balanced import select_query_point
 from .errors import InstanceTooLargeError, InternalInvariantError
-from .geometry import (GridPoint, RealPoint, SignVector, even_count, even_grid, grid_dtype,
+from .geometry import (GridPoint, RealPoint, SignVector, even_count, even_grid, grid_columns,
                        linf_dist, sign_vector)
 from .oracles import ContractionOracle, GridView, strong_to_weak
 
@@ -56,22 +56,30 @@ class CandidateSet:
     """All-even candidate points of ``[0, n]^k`` as ``k`` contiguous columns in ``grid_dtype(n)``.
 
     Row ``j`` is entry ``j`` of every column, in lexicographic order.
-    Elimination and selection read the columns; ``points`` builds int64 rows.
+    ``CandidateSet(cols, n)`` checks outside points once, through ``grid_columns``; the
+    even grid and elimination survivors are valid by construction and skip the check.
+    Elimination and selection read the columns as they are; ``points`` builds int64 rows.
     """
 
     cols: list[np.ndarray]
     n: int
 
     def __post_init__(self) -> None:
-        dt = grid_dtype(self.n)
-        self.cols = [np.ascontiguousarray(c, dtype=dt) for c in self.cols]
+        self.cols = grid_columns(self.cols, self.n)
+
+    @classmethod
+    def _built(cls, cols: list[np.ndarray], n: int) -> "CandidateSet":
+        """A set of contiguous ``grid_dtype(n)`` columns the solver built itself: no check."""
+        T = cls.__new__(cls)
+        T.cols, T.n = cols, n
+        return T
 
     @classmethod
     def initial(cls, n: int, k: int, cap: int = DEFAULT_CANDIDATE_CAP) -> "CandidateSet":
         count = even_count(n, k)
         if count > cap:
             raise InstanceTooLargeError(count, cap)
-        return cls(cols=even_grid(n, k), n=n)
+        return cls._built(even_grid(n, k), n)
 
     @property
     def points(self) -> np.ndarray:
@@ -107,12 +115,11 @@ class RoundRecord:
     s: SignVector
     residual: float
     cand_size: int
-    queries_so_far: int
 
     def to_json_obj(self) -> dict:
         return {"t": self.t, "a_t": list(self.a), "s": list(self.s),
                 "residual": self.residual, "cand_size": self.cand_size,
-                "queries_so_far": self.queries_so_far}
+                "queries_so_far": self.t}
 
 
 @dataclass(slots=True)
@@ -194,7 +201,7 @@ def eliminate(T: CandidateSet, a: GridPoint, s: SignVector) -> CandidateSet:
     for di, si in zip(d, s):
         if si != 0:
             keep |= di == (md if si > 0 else -md)
-    return CandidateSet(cols=[c[keep] for c in T.cols], n=T.n)
+    return CandidateSet._built([c[keep] for c in T.cols], T.n)
 
 
 def _oracle_grid_side(g: ContractionOracle | GridView) -> int:
@@ -234,28 +241,19 @@ def solve(g: ContractionOracle | GridView, gamma: float, *, cap: int = DEFAULT_C
         ga = g(tuple(float(v) for v in a))
         residual = linf_dist(ga, a)
         if residual <= threshold:
-            rec = RoundRecord(t, a, (0,) * k, residual, len(cand), t)
+            rec = RoundRecord(t, a, (0,) * k, residual, len(cand))
             rounds += (rec,)
             if on_round is not None:
                 on_round(rec, cand, None)
             return SolveResult(OUTCOME_FIXED_POINT, a, residual, t, rounds, n, k,
                                gamma, bound)
         s = sign_vector(a, ga)
-        if not any(s):
-            rec = RoundRecord(t, a, s, residual, len(cand), t)
-            rounds += (rec,)
-            if on_round is not None:
-                on_round(rec, cand, None)
-            return SolveResult(
-                OUTCOME_VIOLATION, None, residual, t, rounds, n, k, gamma, bound,
-                violation={"reason": "zero-sign-with-large-residual", "round": t,
-                           "a": list(a), "g_a": list(ga), "residual": residual})
         nxt = eliminate_fn(cand, a, s)
         if 2 * len(nxt) > len(cand):
             raise InternalInvariantError(
                 f"halving failed at round {t}: {len(cand)} -> {len(nxt)} candidates "
                 f"(query {a}, sign {s})")
-        rec = RoundRecord(t, a, s, residual, len(nxt), t)
+        rec = RoundRecord(t, a, s, residual, len(nxt))
         rounds += (rec,)
         if on_round is not None:
             on_round(rec, cand, nxt)

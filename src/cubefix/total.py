@@ -198,9 +198,6 @@ def solve_total(f: ContractionOracle, eps: float, gamma: float, *,
         return TotalResult("violation", None, exc.certificate, f.queries - start)
     if res.outcome == OUTCOME_FIXED_POINT:
         return TotalResult("fixed-point", res, None, res.queries)
-    cert = scan_violations(f.transcript[start:], gamma)
-    if cert is not None:
-        return TotalResult("violation", None, cert, f.queries - start)
     raise InternalInvariantError(
         f"promise solver failed ({res.outcome}) but the transcript of "
         f"{f.queries - start} queries admits no pair violating gamma={gamma}")

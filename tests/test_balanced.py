@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import cubefix.balanced
 from cubefix.balanced import (
     _BLOCK_ROWS,
-    _columns,
     _k2_point,
     all_sign_vectors,
     coverage_counts,
@@ -25,6 +24,7 @@ from cubefix.balanced import (
     is_balanced,
     select_query_point,
 )
+from cubefix.geometry import grid_columns
 from cubefix.solver import CandidateSet, eliminate
 from pyramids import PyramidSpec, enumerate_even, in_pyramid
 
@@ -82,7 +82,7 @@ def test_is_balanced_matches_definition_randomly():
         idx = rng.choice(len(grid), size=size, replace=False)
         T = [grid[i] for i in idx]
         q = tuple(int(v) for v in rng.integers(0, n + 1, size=k))
-        assert is_balanced(q, T, n=n) == balanced_by_definition(q, T)
+        assert is_balanced(q, T) == balanced_by_definition(q, T)
 
 
 def test_is_balanced_query_far_outside_the_grid():
@@ -90,17 +90,21 @@ def test_is_balanced_query_far_outside_the_grid():
     # downward pyramid at -3000 covers no point, so q is not balanced.
     T = [(0,), (30000,)]
     for q in [(-3000,), (-40000,), (70000,)]:
-        assert is_balanced(q, T, n=30000) is False
         assert is_balanced(q, T) is False
+        assert is_balanced(q, CandidateSet([[0, 16000]], 16000)) is False  # int16 columns
         assert balanced_by_definition(q, T) is False
-    assert is_balanced((15000,), T, n=30000) is True
+    assert is_balanced((15000,), T) is True
 
 
 def test_columns_dtype_holds_every_difference():
-    pts = np.array([[0], [32766]])
-    assert _columns(pts, 32767)[0].dtype == np.int16
-    assert _columns(pts, 32768)[0].dtype == np.int32
-    assert _columns(pts, 2 ** 31)[0].dtype == np.int64
+    # 2n + 4 bounds every value the kernels form; it leaves int16 at n = 16382
+    # and int32 at n = 2^30 - 2.
+    for n, dt in [(16381, np.int16), (16382, np.int32), (2 ** 30 - 3, np.int32),
+                  (2 ** 30 - 2, np.int64)]:
+        top = n - n % 2
+        cols = grid_columns([np.array([0, top], dtype=np.int64)], n)
+        assert cols[0].dtype == dt
+        assert cols[0].tolist() == [0, top]
 
 
 def test_coverage_counts_matches_definition():
@@ -112,7 +116,7 @@ def test_coverage_counts_matches_definition():
                 pts = rng.integers(0, n // 2 + 1, size=(int(rng.integers(1, 12)), k)) * 2
                 q = [0] * k if trial == 0 else [n] * k if trial == 1 else (
                     [int(v) for v in rng.integers(0, n + 1, size=k)])
-                cols = _columns(pts, n)
+                cols = grid_columns(list(pts.T), n)
                 assert cols[0].dtype == (np.int16 if n == 10 else np.int32)
                 want = [
                     sum(covered_by_definition(tuple(x), q, tuple(s)) for x in pts)
@@ -127,7 +131,7 @@ def test_coverage_counts_matches_reference_across_blocks():
     for k, n in [(3, 256), (4, 64), (1, 40_000)]:
         signs = all_sign_vectors(k)
         pts = rng.integers(0, n // 2 + 1, size=(2 * _BLOCK_ROWS + 123, k)) * 2
-        cols = _columns(pts, n)
+        cols = grid_columns(list(pts.T), n)
         for q in ([0] * k, [n] * k, [int(v) for v in rng.integers(0, n + 1, size=k)]):
             want = reference_coverage_counts(cols, q, signs)
             assert list(coverage_counts(cols, q, signs)) == list(want)
@@ -136,7 +140,7 @@ def test_coverage_counts_matches_reference_across_blocks():
 def test_coverage_counts_needs_the_full_sign_table():
     for k in (1, 3):
         signs = all_sign_vectors(k)
-        cols = _columns(np.zeros((3, k), dtype=np.int64), 4)
+        cols = grid_columns(list(np.zeros((3, k), dtype=np.int64).T), 4)
         for bad in (signs[1:2], signs[:-1], signs[::-1], np.concatenate([signs, signs])):
             with pytest.raises(ValueError):
                 coverage_counts(cols, [2] * k, bad)
@@ -286,6 +290,8 @@ def test_validation_errors():
         find_balanced_point([(1, 2)], 4, 2)  # odd coordinate
     with pytest.raises(ValueError):
         find_balanced_point([(0, 6)], 4, 2)  # outside [0, n]
+    with pytest.raises(ValueError):
+        find_balanced_point([(2.9,), (4.0,)], 4, 1)  # not integers
 
 
 @given(

@@ -81,7 +81,7 @@ def check_against_rows(pts, n, apexes, rng):
         assert q == k2_lex_min_rows(pts, n)
     for q in [tuple(int(v) for v in rng.integers(0, n + 1, size=k)) for _ in range(10)]:
         q = q if rng.random() < 0.5 else tuple(n - v for v in q)
-        assert is_balanced(q, T, n) == balanced_rows(q, pts)
+        assert is_balanced(q, T) == balanced_rows(q, pts)
 
 
 def corner_apexes(n, k):
