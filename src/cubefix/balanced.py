@@ -124,18 +124,21 @@ def is_balanced(q: Sequence[int], T) -> bool:
     """Exact balancedness test of ``q`` against ``T`` (a CandidateSet or point array).
 
     Scores int64 columns, so ``q`` may lie anywhere.  An empty ``T`` makes
-    every point vacuously balanced.  Examples on the k = 1 set
+    every point vacuously balanced; a non-empty point array that is not of an
+    integer dtype raises ``ValueError``.  Examples on the k = 1 set
     {0, 2, 4, 6, 8}: q = 4 is balanced, q = 0 is not (only one of five points
     lies in the downward pyramid); a singleton's own point is balanced.
     """
-    cols = [c.astype(np.int64) for c in _point_columns(T)]
+    cols = _point_columns(T)
     m = len(cols[0])
     if m == 0:
         return True
+    if cols[0].dtype.kind not in "iu":
+        raise ValueError("balancedness needs integer points")
     k = len(cols)
     if len(q) != k:
         raise ValueError(f"query point has dimension {len(q)}, expected {k}")
-    cov = coverage_counts(cols, q, all_sign_vectors(k))
+    cov = coverage_counts([c.astype(np.int64) for c in cols], q, all_sign_vectors(k))
     return bool(np.all(2 * cov >= m))
 
 

@@ -125,8 +125,7 @@ class ContractionOracle:
         """Evaluate without recording.  For instance validation and tests only;
         the solver never calls this (query counts would be meaningless).
         Only this oracle's own record is skipped: a map that queries another
-        oracle still records there, so total search's watcher, whose map
-        queries the caller's oracle, is never probed."""
+        oracle still records there."""
         xs = self._check_point(x, "query")
         return self._check_point(self._fn(xs), "answer")
 

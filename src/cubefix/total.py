@@ -6,24 +6,27 @@ with a claimed margin ``gamma`` and returns one of two certificates:
 * a point with residual at most ``eps`` (the promise solver's answer), or
 * a pair of queries witnessing ``|f(q1) - f(q2)| > (1 - gamma) |q1 - q2|``.
 
-It simply runs the elimination solver and, after every oracle call, scans the
-new entry of the oracle's own transcript against the run's earlier ones.  On a
-genuine contraction no pair can ever violate, so the run is query-for-query
-identical to :func:`~cubefix.solver.solve_unit_cube`; on a broken promise the
-solver either stops at a valid answer anyway (which is a correct total-search
-output) or the scan fires, and a solver failure without a violating pair in
-the transcript is impossible.
-
-``extend_consistent`` is the converse direction: any finite violation-free
-transcript extends to a full ``(1 - gamma)``-contraction on the cube that
-reproduces every recorded answer exactly, via
+It runs the promise solver on ``f`` itself.  A point with residual at most
+``eps`` is a correct answer whatever ``f`` is, so it stands as returned.  Only
+if the solver fails is the run's part of ``f``'s transcript scanned, once.
+The scan then finds a pair: ``extend_consistent`` is the converse direction,
+so a violation-free transcript is consistent with a genuine contraction, on
+which the solver cannot fail.  The extension reproduces every recorded answer
+exactly, via
 
     ``f(x)_i = min(1, min_t ((1 - gamma) |x - q^t| + a^t_i))``.
+
+Float model: the scan decides every pair exactly on the recorded doubles.  A
+contraction evaluated in floats answers within a few ulps of the exact map;
+on the grid that error is far below the elimination's slack of 2 grid units,
+so the fixed point's neighbourhood stays among the candidates, the solver
+returns a fixed point, and rounding noise never becomes a certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError
@@ -44,8 +47,9 @@ class ViolationCertificate:
     """A pair of oracle queries contradicting the claimed contraction factor.
 
     Indices are 1-based positions in the transcript, ``t1 < t2``; the pair
-    satisfies ``lhs > rhs`` where ``lhs = |a1 - a2|`` and
-    ``rhs = (1 - gamma) * |q1 - q2|`` (l-infinity throughout).
+    satisfies ``|a1 - a2| > (1 - gamma) * |q1 - q2|`` exactly (l-infinity
+    throughout).  ``lhs`` and ``rhs`` are the nearest floats to the two sides,
+    so ``lhs >= rhs``.
     """
 
     t1: int
@@ -86,21 +90,8 @@ def _as_entries(transcript: QueryTranscript | Iterable[Entry]) -> list[Entry]:
     return [(tuple(float(v) for v in q), tuple(float(v) for v in a)) for q, a in transcript]
 
 
-def _scan_entry(entries: Sequence[Entry], start: int, t2: int,
-                gamma: float) -> ViolationCertificate | None:
-    """Check entry ``t2`` against every earlier one, in order.
-
-    Indices are 1-based and count from ``entries[start]``, so a run that
-    begins part-way through a transcript numbers its own queries from 1.
-    """
-    q2, a2 = entries[start + t2 - 1]
-    for t1 in range(1, t2):
-        q1, a1 = entries[start + t1 - 1]
-        lhs = linf_dist(a1, a2)
-        rhs = (1.0 - gamma) * linf_dist(q1, q2)
-        if lhs > rhs:
-            return ViolationCertificate(t1, t2, q1, q2, a1, a2, lhs, rhs)
-    return None
+def _exact_dist(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
+    return max(abs(u - v) for u, v in zip(x, y))
 
 
 def scan_violations(transcript: QueryTranscript | Iterable[Entry],
@@ -108,16 +99,24 @@ def scan_violations(transcript: QueryTranscript | Iterable[Entry],
     """First pair violating the claimed factor, or None if the transcript is consistent.
 
     Pairs are visited in the order a growing transcript would discover them:
-    by the later index ``t2``, then by ``t1 < t2``.  The comparison is
-    strict, in float arithmetic on the recorded values.  Example: two
-    identity answers ``(0,0) -> (0,0)`` and ``(1,1) -> (1,1)`` under a
-    claimed gamma of 0.5 give lhs 1 > rhs 0.5.
+    by the later index ``t2``, then by ``t1 < t2``.  The strict comparison
+    ``|a1 - a2| > (1 - gamma) |q1 - q2|`` is decided exactly, in rationals on
+    the recorded doubles and the double ``gamma``, so neither a certificate
+    nor a None carries rounding of its own.  Example: two identity answers
+    ``(0,0) -> (0,0)`` and ``(1,1) -> (1,1)`` under a claimed gamma of 0.5
+    give lhs 1 > rhs 0.5.
     """
     entries = _as_entries(transcript)
-    for t2 in range(2, len(entries) + 1):
-        cert = _scan_entry(entries, 0, t2, gamma)
-        if cert is not None:
-            return cert
+    exact = [(tuple(map(Fraction, q)), tuple(map(Fraction, a))) for q, a in entries]
+    factor = 1 - Fraction(gamma)
+    for t2 in range(2, len(exact) + 1):
+        q2, a2 = exact[t2 - 1]
+        for t1 in range(1, t2):
+            q1, a1 = exact[t1 - 1]
+            lhs, rhs = _exact_dist(a1, a2), factor * _exact_dist(q1, q2)
+            if lhs > rhs:
+                (fq1, fa1), (fq2, fa2) = entries[t1 - 1], entries[t2 - 1]
+                return ViolationCertificate(t1, t2, fq1, fq2, fa1, fa2, float(lhs), float(rhs))
     return None
 
 
@@ -162,42 +161,30 @@ def extend_consistent(transcript: QueryTranscript | Iterable[Entry], gamma: floa
     return ContractionOracle(fn, k, gamma, side=1.0, name="consistent-extension")
 
 
-class _ViolationFound(Exception):
-    def __init__(self, certificate: ViolationCertificate):
-        super().__init__(f"contraction claim violated by queries "
-                         f"{certificate.t1} and {certificate.t2}")
-        self.certificate = certificate
-
-
 def solve_total(f: ContractionOracle, eps: float, gamma: float, *,
                 cap: int = DEFAULT_CANDIDATE_CAP) -> TotalResult:
-    """Run the promise solver on an untrusted oracle, scanning for violations.
+    """Run the promise solver on an untrusted oracle; certify a violation if it fails.
 
-    Wraps ``f`` so each query, once ``f`` has recorded it, is checked against
-    the run's earlier entries of ``f.transcript`` before the solver sees the
-    answer; the first violating pair aborts the run and is returned as the
-    certificate.  Certificate indices count from the run's first query, so
-    ``f`` may already have answered queries.  If no pair ever violates, the
-    solver's fixed point stands (on a transcript consistent with some
-    ``(1 - gamma)``-contraction the solver cannot fail, so a solver failure
-    here without a violating pair raises :class:`InternalInvariantError`).
+    The solver queries ``f`` directly, so on any map the run makes the same
+    queries as :func:`~cubefix.solver.solve_unit_cube`.  If it does not
+    return a fixed point, the run's part of ``f.transcript`` is scanned once
+    and the first violating pair is the certificate.  Certificate indices
+    count from the run's first query, so ``f`` may already have answered
+    queries.  A failed run whose transcript admits no violating pair
+    contradicts the extension lemma and raises
+    :class:`InternalInvariantError`.
+
+    Trade-off: on a broken map the run may spend up to the solver's
+    ``query_bound`` queries before it certifies, rather than stopping at the
+    first violating pair; the bound still holds.
     """
     start = f.queries
-
-    def fn(x: RealPoint) -> RealPoint:
-        y = f(x)
-        cert = _scan_entry(f.transcript, start, f.queries - start, gamma)
-        if cert is not None:
-            raise _ViolationFound(cert)
-        return y
-
-    watched = ContractionOracle(fn, f.k, gamma, side=f.side, name=f"total({f.name})")
-    try:
-        res = solve_unit_cube(watched, eps, gamma, cap=cap)
-    except _ViolationFound as exc:
-        return TotalResult("violation", None, exc.certificate, f.queries - start)
+    res = solve_unit_cube(f, eps, gamma, cap=cap)
     if res.outcome == OUTCOME_FIXED_POINT:
         return TotalResult("fixed-point", res, None, res.queries)
-    raise InternalInvariantError(
-        f"promise solver failed ({res.outcome}) but the transcript of "
-        f"{f.queries - start} queries admits no pair violating gamma={gamma}")
+    cert = scan_violations(f.transcript[start:], gamma)
+    if cert is None:
+        raise InternalInvariantError(
+            f"promise solver failed ({res.outcome}) but the transcript of "
+            f"{res.queries} queries admits no pair violating gamma={gamma}")
+    return TotalResult("violation", None, cert, res.queries)

@@ -292,6 +292,8 @@ def test_validation_errors():
         find_balanced_point([(0, 6)], 4, 2)  # outside [0, n]
     with pytest.raises(ValueError):
         find_balanced_point([(2.9,), (4.0,)], 4, 1)  # not integers
+    with pytest.raises(ValueError):
+        is_balanced((2,), [(2.9,)])  # not integers
 
 
 @given(

@@ -178,6 +178,16 @@ def test_extend_rejects_empty_and_violating():
         extend_consistent([((0.0,), (2.0,))], 0.5)
 
 
+def tight_mirror(k, gamma, seed):
+    """``x -> clip(p - (1 - gamma)(x - p), 0, 1)``: a contraction at exactly the claimed factor."""
+    p = tuple(np.random.default_rng(seed).uniform(size=k))
+
+    def fn(x):
+        return tuple(min(1.0, max(0.0, pi - (1 - gamma) * (xi - pi))) for xi, pi in zip(x, p))
+
+    return fn
+
+
 def test_solve_total_matches_promise_solver_on_contraction():
     spec1, f1 = make_instance("affine", 2, 0.5, 0.25, seed=10)
     spec2, f2 = make_instance("affine", 2, 0.5, 0.25, seed=10)
@@ -187,6 +197,22 @@ def test_solve_total_matches_promise_solver_on_contraction():
     assert total.queries == plain.queries
     assert total.result.answer == plain.answer
     assert [q for q, _ in f1.transcript.entries] == [q for q, _ in f2.transcript.entries]
+    # On tight mirrors the recorded answers carry rounding that can break the
+    # claimed factor by a few ulps between two queries; total search must
+    # still return the solver's fixed point, never a certificate.
+    for k, eps in [(1, 0.25), (1, 0.01), (1, 0.003), (2, 0.25)]:
+        for seed in range(30):
+            fn = tight_mirror(k, eps, seed)
+            f = ContractionOracle(fn, k, eps, name="mirror")
+            total = solve_total(f, eps, eps)
+            assert total.kind == "fixed-point", (k, eps, seed)
+            x = total.result.answer
+            assert linf_dist(fn(x), x) <= eps
+            if seed < 3:
+                fresh = ContractionOracle(fn, k, eps, name="mirror")
+                plain = solve_unit_cube(fresh, eps, eps)
+                assert plain.answer == x
+                assert fresh.transcript.entries == f.transcript.entries
 
 
 def test_solve_total_certificate_on_anti_map():
@@ -255,15 +281,13 @@ def test_transcript_object_accepted_by_scan():
 
 def test_solve_total_counts_from_the_runs_first_query():
     # The oracle answered two queries before the run, and those two already
-    # violate the claim between themselves.  The run scans only its own
-    # queries and numbers them from 1.
-    p = (0.3, 0.6)
-
-    def expanding(x):
-        return tuple(min(1.0, max(0.0, pi - 1.5 * (xi - pi))) for xi, pi in zip(x, p))
+    # violate the claim between themselves.  The jump map has no eps-fixed
+    # point, so the run fails and scans only its own queries, numbered from 1.
+    def jump(x):
+        return tuple(1.0 if v < 0.5 else 0.0 for v in x)
 
     gamma = 0.25
-    f = ContractionOracle(expanding, 2, gamma, name="expanding")
+    f = ContractionOracle(jump, 2, gamma, name="jump")
     f((0.0, 0.0))
     f((1.0, 1.0))
     assert scan_violations(f.transcript, gamma) is not None
@@ -276,3 +300,19 @@ def test_solve_total_counts_from_the_runs_first_query():
     assert (cert.q2, cert.a2) == f.transcript.entries[start + cert.t2 - 1]
     assert f.queries - start == total.queries
     assert cert.lhs > cert.rhs
+
+
+def test_scan_decides_pairs_exactly():
+    # Pinned 1-d pairs on which the float comparison gives the wrong answer.
+    # At gamma = 0.3 the floats report lhs > rhs, but exactly lhs < rhs.
+    tr = [((0.8951454232489466,), (0.754555337946424,)),
+          ((0.8550043504837936,), (0.7826540888820311,))]
+    assert linf_dist(tr[0][1], tr[1][1]) > (1 - 0.3) * linf_dist(tr[0][0], tr[1][0])
+    assert scan_violations(tr, 0.3) is None
+    # At gamma = 0.2 the floats report no violation, but exactly lhs > rhs.
+    tr = [((0.5692038748222122,), (0.06310682188770933,)),
+          ((0.8022650611681835,), (0.24955577096448636,))]
+    assert not linf_dist(tr[0][1], tr[1][1]) > (1 - 0.2) * linf_dist(tr[0][0], tr[1][0])
+    cert = scan_violations(tr, 0.2)
+    assert cert is not None and (cert.t1, cert.t2) == (1, 2)
+    assert cert.lhs >= cert.rhs
