@@ -7,12 +7,17 @@ workhorse identity, for full sign vectors,
 
     x in U_i P_i(q, s_i)   <=>   max(s * (x - q)) + min(s * (x - q)) >= 0,
 
-turns membership counting into two running extrema over coordinates, so
-coverage counts are exact integer computations over (short) int columns.
-Since ``min(s * d) = -max(-s * d)``, the test reads ``M(s) >= M(-s)`` with
-``M(s) = max(s * (x - q))``: one pass scores both ``s`` and ``-s``, so
-``coverage_counts`` scores the whole sign table in ``2**(k-1)`` passes.
-Thresholds compare ``2 * count >= |T|`` in integers; no rationals, no floats.
+turns membership counting into two running extrema over coordinates.  Along
+a *run*, ``x_k = lo, lo + 2, ..`` under one prefix ``x_1 .. x_{k-1}``
+(:func:`runs_of`), the covered points form a ray: with ``u = s * (x - q)``,
+``A = max_{i<k} u_i`` and ``B = min_{i<k} u_i``, ``max(A, u_k) + min(B, u_k)``
+is nondecreasing in ``u_k``, so
+
+    s covers   iff  u_k >= τ≥,  τ≥ = -A if A + B >= 0 else -B,
+    -s covers  iff  u_k <= τ≤,  τ≤ = -B if A + B <= 0 else -A,  (τ≥ = τ≤ = 0 at k = 1)
+
+and ``coverage_counts`` counts each run in closed form.  Thresholds compare
+``2 * count >= |T|`` in integers; no rationals, no floats.
 The searches read a set as ``k`` columns in the grid's dtype: a solver
 ``CandidateSet`` lends its own as they are, and a plain point array is
 checked and narrowed once by :func:`~cubefix.geometry.grid_columns`.
@@ -47,7 +52,7 @@ from .errors import InternalInvariantError
 from .geometry import GridPoint, grid_columns
 
 _DESCENT_BUDGET = 10_000
-_BLOCK_ROWS = 1 << 16  # 128 KiB per int16 block temporary: a pass stays in L2
+_BOX_ELEMS = 1 << 16  # branch-and-bound scores signs x rows x k <= this many int64s per block
 
 
 @lru_cache(maxsize=None)
@@ -75,49 +80,55 @@ def _grid_columns(T, n: int, k: int) -> list[np.ndarray]:
     return cols
 
 
-def coverage_counts(cols: Sequence[np.ndarray], q: Sequence[int], signs: np.ndarray) -> np.ndarray:
-    """For each full sign vector, how many column points its pyramid union at ``q`` covers.
+def runs_of(cols: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The maximal runs ``x_k = lo, lo + 2, .., lo + 2(len - 1)`` of one prefix ``x_1 .. x_{k-1}``
+    in consecutive rows, as ``k + 1`` columns ``[x_1 .. x_{k-1}, lo, len]`` in the columns' dtype.
+    Expanding every run gives back the rows; any row order is valid, lexicographic is shortest."""
+    *pre, last = cols
+    brk = np.ones(len(last), dtype=bool)
+    np.not_equal(last[1:], last[:-1] + 2, out=brk[1:])
+    for c in pre:
+        brk[1:] |= c[1:] != c[:-1]
+    starts = np.flatnonzero(brk)
+    lens = np.diff(starts, append=len(last)).astype(last.dtype)
+    return [c[starts] for c in cols] + [lens]
 
-    ``signs`` must be the :func:`all_sign_vectors` table of the columns'
-    dimension; any other table raises ``ValueError``.  With ``d_i = x_i - q_i``
-    and ``M(s) = max_i s_i * d_i``, sign ``s`` covers a point iff
-    ``max_i s_i d_i + min_i s_i d_i >= 0``, that is iff ``M(s) >= M(-s)``.
-    Negating ``s`` swaps the two sides, so one pass per ``s_0 = +1`` vector
-    scores the pair: ``cov(s) = #{M(s) >= M(-s)}`` and
-    ``cov(-s) = #{M(s) <= M(-s)}``.  Exact integer arithmetic in the column
-    dtype, which must hold every ``|x_i - q_i|`` (``grid_dtype(n)`` does for
-    ``q`` in ``[0, n]^k``), over blocks of ``_BLOCK_ROWS`` rows so that a
-    pass's temporaries stay in cache.
+
+def coverage_counts(runs: Sequence[np.ndarray], q: Sequence[int], signs: np.ndarray) -> np.ndarray:
+    """For each full sign vector, how many points of ``runs`` (:func:`runs_of`) its pyramid
+    union at ``q`` covers, in O(#runs) work per sign.
+
+    ``signs`` must be the :func:`all_sign_vectors` table of dimension ``len(runs) - 1``; any
+    other raises ``ValueError``.  By the module docstring's ray rule, a run holds
+    ``len - clip(ceil((q_k + τ≥ - lo) / 2), 0, len)`` points of ``s`` (``s_k = +1``) and
+    ``clip(ceil((q_k + τ≤ + 1 - lo) / 2), 0, len)`` of ``-s``, all pairs in one broadcast.
+    Exact integers in the column dtype, which must hold ``2 max|x_i - q_i| + 2``, as
+    ``grid_dtype(n)`` does for ``q`` in ``[0, n]^k``.
     """
-    k, m = len(cols), len(cols[0])
+    k = len(runs) - 1
     table = all_sign_vectors(k)
     if not np.array_equal(signs, table):
         raise ValueError(f"coverage_counts needs the full all_sign_vectors({k}) table")
-    half = len(table) // 2
-    pos = (table[half:] > 0).tolist()
+    *pre, lo, lens = runs
     qs = [int(v) for v in q]
-    out = np.zeros(len(table), dtype=np.int64)
-    w = min(m, _BLOCK_ROWS)
-    up, down = np.empty(w, cols[0].dtype), np.empty(w, cols[0].dtype)
-    flag = np.empty(w, dtype=bool)
-    for lo in range(0, m, _BLOCK_ROWS):
-        d = [c[lo:lo + _BLOCK_ROWS] - v for c, v in zip(cols, qs)]
-        terms = [(-di, di) for di in d]  # indexed by s_i > 0
-        r = len(d[0])
-        a, b, f = up[:r], down[:r], flag[:r]
-        for j, p in enumerate(pos, start=half):
-            _max_into(a, [t[pi] for t, pi in zip(terms, p)])
-            _max_into(b, [t[1 - pi] for t, pi in zip(terms, p)])
-            out[j] += np.count_nonzero(np.greater_equal(a, b, out=f))
-            out[-1 - j] += np.count_nonzero(np.less_equal(a, b, out=f))
-    return out
-
-
-def _max_into(buf: np.ndarray, arrays: list[np.ndarray]) -> None:
-    """Elementwise maximum of ``arrays`` (one or more), written into ``buf``."""
-    np.maximum(arrays[0], arrays[-1], out=buf)
-    for x in arrays[1:-1]:
-        np.maximum(buf, x, out=buf)
+    tau = np.zeros((2, len(table) // 2, len(lo)), dtype=lo.dtype)  # τ≥, τ≤ per s_k = +1 sign
+    if k > 1:  # -u on those signs' prefixes, whose extrema are -A <= -B
+        d = np.stack([c - v for c, v in zip(pre, qs)])
+        nu = (-table[1::2, :-1, None]).astype(lo.dtype) * d
+        na, nb = nu.min(axis=1), nu.max(axis=1)
+        diff = na - nb  # pick -A or -B by arithmetic: np.where is slow on int16
+        np.multiply(na + nb <= 0, diff, out=tau[0])
+        np.multiply(na + nb >= 0, diff, out=tau[1])
+        tau[0] += nb
+        np.subtract(na, tau[1], out=tau[1])
+    tau += (qs[-1] + 1) - lo
+    tau[1] += 1
+    tau >>= 1  # per run: the first index with x_k - q_k >= τ≥, one past the last <= τ≤
+    np.maximum(tau, np.zeros_like(lens), out=tau)  # a scalar bound is ~10x slower on int16
+    np.minimum(tau, lens, out=tau)
+    cov = tau.sum(axis=2)
+    # Rows alternate s_k = -1, +1; the mirror of the i-th s_k = +1 row is i-th from the end.
+    return np.stack([cov[1][::-1], lens.sum() - cov[0]], axis=1).ravel()
 
 
 def is_balanced(q: Sequence[int], T) -> bool:
@@ -138,7 +149,7 @@ def is_balanced(q: Sequence[int], T) -> bool:
     k = len(cols)
     if len(q) != k:
         raise ValueError(f"query point has dimension {len(q)}, expected {k}")
-    cov = coverage_counts([c.astype(np.int64) for c in cols], q, all_sign_vectors(k))
+    cov = coverage_counts(runs_of([c.astype(np.int64) for c in cols]), q, all_sign_vectors(k))
     return bool(np.all(2 * cov >= m))
 
 
@@ -168,25 +179,28 @@ class _BranchBound:
     taking ``lo_i`` where ``s_i > 0`` and ``hi_i`` otherwise (moving ``q``
     against ``s`` only grows every accumulated term), so a box where some
     sign's best corner still covers less than half of ``T`` contains no
-    balanced point.  Signs are tested one at a time with the max + min
-    identity, stopping at the first that fails.  Splitting the first
+    balanced point.  All signs are scored at once with the max + min
+    identity, one block of rows at a time.  Splitting the first
     unresolved coordinate, lower half first, visits surviving leaves in
     lexicographic order.
     """
 
     def __init__(self, pts: np.ndarray, n: int, k: int):
-        self.pts = pts
         self.m = len(pts)
         self.k = k
         self.signs = all_sign_vectors(k)
         self.n = n
+        step = max(1, _BOX_ELEMS // (len(self.signs) * k))
+        self.blocks = [pts[i:i + step].T for i in range(0, self.m, step)]
 
     def _box_feasible(self, lo: np.ndarray, hi: np.ndarray) -> bool:
-        for s in self.signs:
-            sd = s * (self.pts - np.where(s > 0, lo, hi))
-            if 2 * np.count_nonzero(sd.max(axis=1) + sd.min(axis=1) >= 0) < self.m:
-                return False
-        return True
+        signs = self.signs[:, :, None]
+        corner = np.where(signs > 0, lo[:, None], hi[:, None])
+        cov = 0
+        for blk in self.blocks:
+            sd = signs * (blk - corner)
+            cov = cov + (sd.max(axis=1) + sd.min(axis=1) >= 0).sum(axis=1)
+        return 2 * int(cov.min()) >= self.m
 
     def search(self) -> GridPoint | None:
         lo = np.zeros(self.k, dtype=np.int64)
@@ -240,7 +254,7 @@ def _unit_directions(k: int) -> list[np.ndarray]:
     return dirs
 
 
-def _descend(cols, q: np.ndarray, n: int, signs: np.ndarray, m: int,
+def _descend(runs, q: np.ndarray, n: int, signs: np.ndarray, m: int,
              dirs: list[np.ndarray], budget: int, memo: dict) -> np.ndarray | None:
     """First-improvement descent on the deficit ``sum_s max(0, m - 2 cov_s)`` from one start.
 
@@ -251,12 +265,12 @@ def _descend(cols, q: np.ndarray, n: int, signs: np.ndarray, m: int,
     ``(deficit, coverage)``, so a point is scored once per select, however
     often the walk returns to it (mostly by reversing the last accepted
     move); a memo hit still counts as an evaluation against ``budget``.
-    Returns a balanced point or None on a stall.
+    Scores ``runs``, the set's :func:`runs_of`; returns a balanced point or None on a stall.
     """
     def score(p: np.ndarray) -> tuple[int, np.ndarray]:
         key = tuple(int(v) for v in p)
         if key not in memo:
-            cov = coverage_counts(cols, p, signs)
+            cov = coverage_counts(runs, p, signs)
             memo[key] = int(np.maximum(0, m - 2 * cov).sum()), cov
         return memo[key]
 
@@ -297,8 +311,8 @@ def select_query_point(T, n: int, k: int) -> GridPoint:
     deficit descent from five deterministic starts (low/high weak medians,
     bounding-box middle, grid centre, median midpoint) and falls back to the
     exact branch-and-bound if all stall.  The starts share one memo of scored
-    points.  The result is always exactly balanced; only which balanced
-    point gets returned varies by path.
+    points and one :func:`runs_of` of the set.  The result is always exactly
+    balanced; only which balanced point gets returned varies by path.
     """
     if k <= 2:
         return find_balanced_point(T, n, k)
@@ -310,10 +324,11 @@ def select_query_point(T, n: int, k: int) -> GridPoint:
     mid = np.array([(int(col.min()) + int(col.max())) // 2 for col in cols], dtype=np.int64)
     centre = np.full(k, n // 2, dtype=np.int64)
     starts = [lo_med, hi_med, mid, centre, (lo_med + hi_med) // 2]
+    runs = runs_of(cols)
     memo: dict = {}
     for start in starts:
         q0 = np.clip(start.astype(np.int64), 0, n)
-        q = _descend(cols, q0, n, signs, m, dirs, _DESCENT_BUDGET, memo)
+        q = _descend(runs, q0, n, signs, m, dirs, _DESCENT_BUDGET, memo)
         if q is not None:
             return tuple(int(v) for v in q)
     return find_balanced_point(T, n, k)

@@ -3,8 +3,9 @@
 The verifier below recomputes pyramid-union coverage straight from the
 definition (max + min of signed offsets per point), independently of the
 vectorised implementation under test.  ``reference_coverage_counts`` is the
-plain one-pass-per-sign kernel, kept as a second reference for sets too large
-for the verifier.
+plain one-pass-per-sign kernel over rows, kept as a second reference for sets
+too large for the verifier; ``expand_runs`` turns the kernel's runs back into
+rows for it.
 """
 
 import itertools
@@ -16,12 +17,12 @@ from hypothesis import strategies as st
 
 import cubefix.balanced
 from cubefix.balanced import (
-    _BLOCK_ROWS,
     _k2_point,
     all_sign_vectors,
     coverage_counts,
     find_balanced_point,
     is_balanced,
+    runs_of,
     select_query_point,
 )
 from cubefix.geometry import grid_columns
@@ -47,6 +48,21 @@ def reference_coverage_counts(cols, q, signs):
             np.minimum(mn, b, out=mn)
         out[si] = int(np.count_nonzero(mx >= -mn))
     return out
+
+
+def expand_runs(runs):
+    """The int64 rows ``[x_1 .. x_{k-1}, lo + 2j]``, ``0 <= j < len``, of every run, in order."""
+    *pre, lo, lens = [np.asarray(c, dtype=np.int64) for c in runs]
+    idx = np.repeat(np.arange(len(lo)), lens)
+    j = np.arange(len(idx)) - np.repeat(np.cumsum(lens) - lens, lens)
+    return [c[idx] for c in pre] + [lo[idx] + 2 * j]
+
+
+def prefix_count(runs):
+    """Distinct prefixes ``x_1 .. x_{k-1}`` among the runs; at k = 1 all share the empty one."""
+    if len(runs) == 2:
+        return min(1, len(runs[0]))
+    return len(set(zip(*(c.tolist() for c in runs[:-2]))))
 
 
 def balanced_by_definition(q, T) -> bool:
@@ -122,28 +138,67 @@ def test_coverage_counts_matches_definition():
                     sum(covered_by_definition(tuple(x), q, tuple(s)) for x in pts)
                     for s in signs
                 ]
-                assert list(coverage_counts(cols, q, signs)) == want
+                assert list(coverage_counts(runs_of(cols), q, signs)) == want
                 assert list(reference_coverage_counts(cols, q, signs)) == want
 
 
-def test_coverage_counts_matches_reference_across_blocks():
+def test_coverage_counts_matches_reference_on_large_shuffled_sets():
+    # Shuffled rows with duplicates: most runs are single rows, some are long.
     rng = np.random.default_rng(6)
     for k, n in [(3, 256), (4, 64), (1, 40_000)]:
         signs = all_sign_vectors(k)
-        pts = rng.integers(0, n // 2 + 1, size=(2 * _BLOCK_ROWS + 123, k)) * 2
+        pts = rng.integers(0, n // 2 + 1, size=(2 ** 17 + 123, k)) * 2
+        pts = np.concatenate([pts, np.array(sorted(map(tuple, pts[:4000])))])
         cols = grid_columns(list(pts.T), n)
         for q in ([0] * k, [n] * k, [int(v) for v in rng.integers(0, n + 1, size=k)]):
             want = reference_coverage_counts(cols, q, signs)
-            assert list(coverage_counts(cols, q, signs)) == list(want)
+            assert list(coverage_counts(runs_of(cols), q, signs)) == list(want)
+
+
+def test_runs_expand_to_the_same_rows():
+    # Any order, duplicates and odd values: runs only join rows x_k, x_k + 2 of one prefix.
+    rng = np.random.default_rng(10)
+    for k in range(1, 5):
+        for trial in range(30):
+            m = int(rng.integers(1, 200))
+            pts = rng.integers(-6, 7, size=(m, k))
+            if trial % 3 == 0:
+                pts = np.array(sorted(map(tuple, pts)))
+            cols = list(pts.T)
+            runs = runs_of(cols)
+            assert len(runs) == k + 1 and all(r.dtype == np.int64 for r in runs)
+            assert np.all(runs[-1] >= 1) and int(runs[-1].sum()) == m
+            assert [c.tolist() for c in expand_runs(runs)] == [c.tolist() for c in cols]
+
+
+def test_coverage_counts_on_shuffled_runs_matches_reference():
+    rng = np.random.default_rng(11)
+    for k in range(1, 5):
+        signs = all_sign_vectors(k)
+        for n, dt in [(12, np.int16), (40_000, np.int32)]:
+            for trial in range(20):
+                pts = rng.integers(0, n // 2 + 1, size=(int(rng.integers(1, 400)), k)) * 2
+                if trial % 2:  # sorted, then shuffled in blocks of rows: long and short runs
+                    pts = np.array(sorted(map(tuple, pts)))
+                    cut = np.sort(rng.integers(0, len(pts), size=5))
+                    parts = np.split(pts, cut)
+                    pts = np.concatenate([parts[i] for i in rng.permutation(len(parts))])
+                cols = grid_columns(list(pts.T), n)
+                assert cols[0].dtype == dt
+                runs = runs_of(cols)
+                assert runs[-1].dtype == dt
+                for q in ([0] * k, [n] * k, [int(v) for v in rng.integers(0, n + 1, size=k)]):
+                    want = reference_coverage_counts(cols, q, signs)
+                    assert list(coverage_counts(runs, q, signs)) == list(want)
 
 
 def test_coverage_counts_needs_the_full_sign_table():
     for k in (1, 3):
         signs = all_sign_vectors(k)
-        cols = grid_columns(list(np.zeros((3, k), dtype=np.int64).T), 4)
+        runs = runs_of(grid_columns(list(np.zeros((3, k), dtype=np.int64).T), 4))
         for bad in (signs[1:2], signs[:-1], signs[::-1], np.concatenate([signs, signs])):
             with pytest.raises(ValueError):
-                coverage_counts(cols, [2] * k, bad)
+                coverage_counts(runs, [2] * k, bad)
 
 
 def test_find_balanced_full_even_line():
@@ -249,15 +304,16 @@ def test_select_query_point_agrees_with_exact_for_k_le_2():
         assert select_query_point(T, 10, 2) == find_balanced_point(T, 10, 2)
 
 
-def _shrunk_grids():
-    """EVEN(40, 3) and EVEN(16, 4) after one to three eliminations at their select points."""
+def _shrunk_grids(values=(-1, 1)):
+    """EVEN(40, 3) and EVEN(16, 4) after one to three eliminations at their select points,
+    with sign entries drawn from ``values`` (an all-zero draw becomes ``(1, 0, ..)``)."""
     rng = np.random.default_rng(7)
     for n, k in [(40, 3), (16, 4)]:
         T = CandidateSet.initial(n, k)
         for _ in range(3):
             a = select_query_point(T, n, k)
-            s = tuple(int(v) for v in rng.choice((-1, 1), size=k))
-            T = eliminate(T, a, s)
+            s = tuple(int(v) for v in rng.choice(values, size=k))
+            T = eliminate(T, a, s if any(s) else (1,) + (0,) * (k - 1))
             if len(T) == 0:
                 break
             yield T, n, k
@@ -267,8 +323,30 @@ def test_select_query_point_same_trajectory_as_reference_kernel(monkeypatch):
     cases = list(_shrunk_grids())
     assert len(cases) >= 4
     want = [select_query_point(T, n, k) for T, n, k in cases]
-    monkeypatch.setattr(cubefix.balanced, "coverage_counts", reference_coverage_counts)
+
+    def reference_on_runs(runs, q, signs):
+        return reference_coverage_counts(expand_runs(runs), q, signs)
+
+    monkeypatch.setattr(cubefix.balanced, "coverage_counts", reference_on_runs)
     assert [select_query_point(T, n, k) for T, n, k in cases] == want
+
+
+def test_eliminated_grids_keep_one_run_per_prefix():
+    # Each elimination keeps an interval of x_k per prefix, so the lexicographic
+    # rows of a solver set form at most one run per prefix.
+    for values in ((-1, 1), (-1, 0, 1)):
+        cases = list(_shrunk_grids(values))
+        assert len(cases) >= 4
+        for T, n, k in cases:
+            runs = runs_of(T.cols)
+            assert prefix_count(runs) == len(runs[0])
+            assert [c.tolist() for c in expand_runs(runs)] == [c.tolist() for c in T.cols]
+    for k, n in [(1, 40), (2, 40)]:
+        T = CandidateSet.initial(n, k)
+        for s in [(1,) * k, (-1,) + (0,) * (k - 1), (0,) * (k - 1) + (1,)]:
+            T = eliminate(T, (n // 2,) * k, s)
+            runs = runs_of(T.cols)
+            assert prefix_count(runs) == len(runs[0])
 
 
 def test_select_query_point_falls_back_to_exact_search(monkeypatch):
