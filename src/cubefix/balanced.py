@@ -155,9 +155,8 @@ def is_balanced(q: Sequence[int], T) -> bool:
 
 def _median_interval(vals: np.ndarray) -> tuple[int, int]:
     """Closed integer interval of weak medians: counts on both sides >= half."""
-    m = len(vals)
-    c = (m + 1) // 2
-    lo, hi = np.partition(vals, (c - 1, m - c))[[c - 1, m - c]]
+    ranks = [(len(vals) - 1) // 2, len(vals) // 2]
+    lo, hi = np.partition(vals, ranks)[ranks]
     return int(lo), int(hi)
 
 
@@ -229,8 +228,8 @@ def find_balanced_point(T, n: int, k: int) -> GridPoint:
     is broken and :class:`InternalInvariantError` is raised.
     """
     cols = _grid_columns(T, n, k)
-    if k == 1:
-        q = (_median_interval(cols[0])[0],)
+    if k == 1:  # the column is sorted: the lower weak median is an index
+        q = (int(cols[0][(len(cols[0]) + 1) // 2 - 1]),)
     elif k == 2:
         q = _k2_point(*_median_interval(cols[0] + cols[1]),
                       *_median_interval(cols[0] - cols[1]), n)
@@ -304,14 +303,26 @@ def _descend(runs, q: np.ndarray, n: int, signs: np.ndarray, m: int,
     return None
 
 
+def _order_statistics(runs: Sequence[np.ndarray], m: int) -> np.ndarray:
+    """Int64 rows ``[low weak median, high weak median, min, max]`` of each column of ``runs``
+    (``m`` points), from counts in bins ``x >> 1``: prefix columns weigh runs by ``len`` (float64,
+    exact below 2^53); ``x_k`` sums +1 at each run's first bin and -1 past its last, O(#runs + n)."""
+    *pre, lo, lens = runs
+    ends = np.bincount((lo >> 1) + lens)
+    counts = [np.bincount(c >> 1, weights=lens).astype(np.int64) for c in pre]
+    counts.append(np.cumsum(np.bincount(lo >> 1, minlength=len(ends)) - ends))
+    ranks = [(m - 1) // 2, m // 2, 0, m - 1]
+    return 2 * np.array([np.cumsum(w).searchsorted(ranks, "right") for w in counts]).T
+
+
 def select_query_point(T, n: int, k: int) -> GridPoint:
     """A balanced point of ``T``, chosen deterministically and verified exactly.
 
     k <= 2 uses the closed-form lexicographic minimum.  k >= 3 runs the
     deficit descent from five deterministic starts (low/high weak medians,
     bounding-box middle, grid centre, median midpoint) and falls back to the
-    exact branch-and-bound if all stall.  The starts share one memo of scored
-    points and one :func:`runs_of` of the set.  The result is always exactly
+    exact branch-and-bound if all stall.  The starts come from one :func:`runs_of`
+    of the set and share one memo of scored points.  The result is always exactly
     balanced; only which balanced point gets returned varies by path.
     """
     if k <= 2:
@@ -320,11 +331,9 @@ def select_query_point(T, n: int, k: int) -> GridPoint:
     m = len(cols[0])
     signs = all_sign_vectors(k)
     dirs = _unit_directions(k)
-    lo_med, hi_med = np.array([_median_interval(col) for col in cols], dtype=np.int64).T
-    mid = np.array([(int(col.min()) + int(col.max())) // 2 for col in cols], dtype=np.int64)
-    centre = np.full(k, n // 2, dtype=np.int64)
-    starts = [lo_med, hi_med, mid, centre, (lo_med + hi_med) // 2]
     runs = runs_of(cols)
+    lo_med, hi_med, lo, hi = _order_statistics(runs, m)
+    starts = [lo_med, hi_med, (lo + hi) // 2, np.full(k, n // 2), (lo_med + hi_med) // 2]
     memo: dict = {}
     for start in starts:
         q0 = np.clip(start.astype(np.int64), 0, n)

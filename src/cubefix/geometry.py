@@ -16,6 +16,7 @@ pyramid.  The even grid is stored as ``k`` columns in :func:`grid_dtype`.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
@@ -58,37 +59,57 @@ def grid_dtype(n: int) -> type:
 
 
 def grid_columns(cols: Sequence[Sequence[int]], n: int) -> list[np.ndarray]:
-    """Points from outside the solver as ``k`` contiguous columns in :func:`grid_dtype`.
+    """Points from outside the solver as a new copy: ``k`` read-only columns in :func:`grid_dtype`,
+    rows sorted lexicographically (``x_1`` first).
 
     Raises ``ValueError`` unless the columns are 1-d integer arrays of one length whose
     values are all even and in ``[0, n]``.  The check runs in each column's own dtype,
     before narrowing, so a value that would wrap into range (65538 is 2 in int16) is refused.
     """
     cols = [np.asarray(c) for c in cols]
-    if any(c.ndim != 1 for c in cols) or len({len(c) for c in cols}) > 1:
-        raise ValueError("candidate columns must be one-dimensional and of equal length")
+    if not cols or any(c.ndim != 1 for c in cols) or len({len(c) for c in cols}) > 1:
+        raise ValueError("candidate columns must be one or more 1-d arrays of equal length")
     for c in cols:
         if len(c) and (c.dtype.kind not in "iu" or c.min() < 0 or int(c.max()) > n
                        or np.bitwise_or.reduce(c) & 1):
             raise ValueError(f"candidate points must be all-even integer points of [0, {n}]^k")
-    dt = grid_dtype(n)
-    return [np.ascontiguousarray(c, dtype=dt) for c in cols]
+    cols = [np.asarray(c, dtype=grid_dtype(n)) for c in cols]
+    order = np.lexsort(cols[::-1])
+    cols = [c[order] for c in cols]
+    for c in cols:
+        c.flags.writeable = False  # solver sets may be views of each other
+    return cols
 
 
 def even_grid(n: int, k: int) -> list[np.ndarray]:
-    """All of EVEN(n, k) as ``k`` contiguous columns in :func:`grid_dtype`, rows in lex order.
+    """All of EVEN(n, k) as ``k`` read-only columns in :func:`grid_dtype`, rows in lex order.
 
     Built by ``repeat``/``tile`` in that dtype.  Callers are responsible for
     size checks; the candidate cap lives in :class:`cubefix.solver.CandidateSet`.
+    At k = 1 the column of the last ``n`` is returned again (:func:`_even_column`): a k = 1
+    solve reads O(log m) of its entries, and a large column built and freed by every solve
+    left holes in the heap that grew peak RSS with the number of solves run.
     """
     _check_nk(n, k)
+    if k == 1:
+        return [_even_column(n)]
     vals = np.arange(0, n + 1, 2, dtype=grid_dtype(n))
     h = len(vals)
     cols = []
     for i in range(k):
         c = vals if i == k - 1 else np.repeat(vals, h ** (k - 1 - i))
         cols.append(c if i == 0 else np.tile(c, h ** i))
+    for c in cols:
+        c.flags.writeable = False  # solver sets may be views of each other
     return cols
+
+
+@lru_cache(maxsize=1)
+def _even_column(n: int) -> np.ndarray:
+    """EVEN(n, 1) as one read-only column, kept until a column for another ``n`` is built."""
+    col = np.arange(0, n + 1, 2, dtype=grid_dtype(n))
+    col.flags.writeable = False
+    return col
 
 
 def around_contains(center: Sequence[float], y: Sequence[float], n: int | None = None) -> bool:

@@ -55,9 +55,11 @@ OUTCOME_FAILURE = "failure"
 class CandidateSet:
     """All-even candidate points of ``[0, n]^k`` as ``k`` contiguous columns in ``grid_dtype(n)``.
 
-    Row ``j`` is entry ``j`` of every column, in lexicographic order.
-    ``CandidateSet(cols, n)`` checks outside points once, through ``grid_columns``; the
-    even grid and elimination survivors are valid by construction and skip the check.
+    Row ``j`` is entry ``j`` of every column, in lexicographic order (``x_1`` first).
+    ``CandidateSet(cols, n)`` checks and sorts outside points once, through ``grid_columns``;
+    the even grid and elimination survivors keep the order and skip the check.  Columns are
+    read-only: a k = 1 survivor is a slice of its parent's column, and k = 1 grids of one ``n``
+    share one column (``even_grid``), so sets may share memory.
     Elimination and selection read the columns as they are; ``points`` builds int64 rows.
     """
 
@@ -94,15 +96,17 @@ class CandidateSet:
         return len(self.cols[0])
 
     def contains_points(self, pts: Sequence[Sequence[int]]) -> np.ndarray:
-        """Membership mask for an ``(m, k)`` integer array of points, read off the columns."""
+        """Membership mask for an ``(m, k)`` integer array of points: rows matching a point's
+        first ``i`` coordinates are sorted on column ``i``; two searches narrow them per ``i``."""
         pts = np.asarray(pts, dtype=np.int64).reshape(-1, self.k)
         out = np.zeros(len(pts), dtype=bool)
         for j, p in enumerate(pts.tolist()):
             if all(0 <= v <= self.n for v in p):
-                idx = np.flatnonzero(self.cols[0] == p[0])
-                for c, v in zip(self.cols[1:], p[1:]):
-                    idx = idx[c[idx] == v]
-                out[j] = len(idx) > 0
+                lo, hi = 0, len(self)
+                for c, v in zip(self.cols, p):
+                    seg, v = c[lo:hi], c.dtype.type(v)
+                    lo, hi = lo + seg.searchsorted(v, "left"), lo + seg.searchsorted(v, "right")
+                out[j] = hi > lo
         return out
 
 
@@ -183,7 +187,8 @@ def eliminate(T: CandidateSet, a: GridPoint, s: SignVector) -> CandidateSet:
     Keeps the points of ``T`` lying in the pyramid union with apex
     ``b = a + 2s`` (in ``[-2, n + 2]^k``) over the coordinates where ``s`` is
     nonzero, column by column in the set's dtype: ``d_i = x_i - b_i``, their
-    running ``max |d_i|``, then one mask compresses every column.  Example:
+    running ``max |d_i|``, then one mask compresses every column.  At k = 1 a
+    search on the sorted column slices ``x >= b`` or ``x <= b`` as a view.  Example:
     on EVEN(8, 1) with a = 4, s = (+1,), the survivors are {6, 8}.  An
     all-zero ``s`` eliminates nothing and is a usage error.
     """
@@ -193,6 +198,10 @@ def eliminate(T: CandidateSet, a: GridPoint, s: SignVector) -> CandidateSet:
     b = [int(ai) + 2 * si for ai, si in zip(a, s)]
     if not all(-2 <= v <= T.n + 2 for v in b):
         raise ValueError(f"apex {b} lies outside [-2, {T.n + 2}]^{T.k}")
+    if T.k == 1:  # a Python int apex would cast the whole column to int64 first
+        c = T.cols[0]
+        i = c.searchsorted(c.dtype.type(b[0]), "left" if s[0] > 0 else "right")
+        return CandidateSet._built([c[i:] if s[0] > 0 else c[:i]], T.n)
     d = [c - bi for c, bi in zip(T.cols, b)]
     md = np.abs(d[0])
     for di in d[1:]:
@@ -219,7 +228,8 @@ def solve(g: ContractionOracle | GridView, gamma: float, *, cap: int = DEFAULT_C
     Stops at the first query with residual at most ``16 / gamma``.  The
     halving invariant is asserted on every round; ``on_round(record, before,
     after)`` exposes each round to callers (``after`` is None on the terminal
-    round).  ``eliminate_fn`` is an injection seam for the mutation mode of
+    round); the sets handed out may be read-only views of each other.
+    ``eliminate_fn`` is an injection seam for the mutation mode of
     the property suites; production callers leave it alone.
     """
     if not 0 < gamma <= 1:

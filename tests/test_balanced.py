@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 import cubefix.balanced
 from cubefix.balanced import (
     _k2_point,
+    _median_interval,
+    _order_statistics,
     all_sign_vectors,
     coverage_counts,
     find_balanced_point,
@@ -205,6 +207,38 @@ def test_find_balanced_full_even_line():
     assert find_balanced_point([(0,), (2,), (4,), (6,), (8,)], 8, 1) == (4,)
     # even count: both weak medians qualify; lexicographic rule takes the lower
     assert find_balanced_point([(0,), (2,), (4,), (6,)], 6, 1) == (2,)
+
+
+def test_k1_selection_is_the_lower_weak_median():
+    # At k = 1 the sorted column gives the lower weak median by index; check it
+    # against the partition on sorted, unsorted and duplicated sets of both parities.
+    rng = np.random.default_rng(13)
+    for n in (40, 40_000):
+        for size in (1, 2, 3, 4, 7, 50, 51):
+            for pts in (np.sort(rng.integers(0, n // 2 + 1, size=size)) * 2,
+                        rng.integers(0, n // 2 + 1, size=size) * 2,
+                        np.repeat(rng.integers(0, n // 2 + 1, size=(size + 1) // 2) * 2, 2)):
+                want = (_median_interval(pts)[0],)
+                assert find_balanced_point(pts[:, None], n, 1) == want
+                assert select_query_point(CandidateSet([pts], n), n, 1) == want
+                assert is_balanced(want, pts[:, None])
+
+
+def test_order_statistics_from_runs_match_the_rows():
+    # Weak medians and extremes of every column, read off the runs, against the
+    # partition and min/max on the rows: solver sets and duplicated random sets.
+    rng = np.random.default_rng(14)
+    cases = [T.cols for T, _, _ in _shrunk_grids((-1, 0, 1))]
+    for k in range(1, 5):
+        for size in (1, 2, 9, 200):
+            pts = rng.integers(0, 6, size=(size, k)) * 2
+            cases.append(grid_columns(list(np.concatenate([pts, pts[: size // 3]]).T), 10))
+    for cols in cases:
+        m = len(cols[0])
+        got = _order_statistics(runs_of(cols), m)
+        want = [[_median_interval(c)[0] for c in cols], [_median_interval(c)[1] for c in cols],
+                [int(c.min()) for c in cols], [int(c.max()) for c in cols]]
+        assert got.dtype == np.int64 and got.tolist() == want
 
 
 def test_find_balanced_singleton_is_at_most_the_point():

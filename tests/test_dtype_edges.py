@@ -138,3 +138,33 @@ def test_eliminate_refuses_an_apex_the_dtype_cannot_hold():
         with pytest.raises(ValueError):
             eliminate(T, a, s)
     assert len(eliminate(T, (16380,), (1,))) == 0
+
+
+def eliminate_k1_mask(col, b, s):
+    """The k = 1 mask rule in the column dtype: keep x where ``x - b == s * |x - b|``."""
+    d = col - col.dtype.type(b)
+    return col[d == (np.abs(d) if s > 0 else -np.abs(d))]
+
+
+@pytest.mark.parametrize("n", [16380, 16_000_000])
+def test_k1_elimination_slices_like_the_mask_rule(n):
+    # int16 and int32 columns; the apex b = a + 2s runs over -2, 0, n, n + 2,
+    # points of the set and values between them.
+    rng = np.random.default_rng(n)
+    dense = rng.integers(n // 4 - 20, n // 4 + 20, size=300) * 2
+    sets = [np.unique(rng.integers(0, n // 2 + 1, size=500)) * 2,  # sorted
+            rng.integers(0, n // 2 + 1, size=500) * 2,             # unsorted
+            np.concatenate([dense, [0, 0, n, n], dense[:50]]),      # duplicated
+            np.array([0, n]), np.array([n // 2 * 2])]
+    for pts in sets:
+        T = CandidateSet([pts], n)
+        col = T.cols[0]
+        assert col.dtype == grid_dtype(n)
+        for b in [-2, 0, 2, n - 2, n, n + 2, int(pts[0]), int(pts[-1]), int(pts[0]) + 1,
+                  int(rng.integers(-2, n + 3))]:
+            for s in (1, -1):
+                got = eliminate(T, (b - 2 * s,), (s,)).cols[0]
+                want = eliminate_k1_mask(col, b, s)
+                assert got.dtype == col.dtype and np.array_equal(got, want)
+                assert np.array_equal(got, eliminate_rows(np.sort(pts)[:, None], (b - 2 * s,),
+                                                          (s,))[:, 0])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from cubefix.balanced import select_query_point
 from cubefix.errors import InstanceTooLargeError
 from cubefix.geometry import (
     around_contains,
@@ -72,6 +73,71 @@ def test_candidate_set_checks_outside_points():
     T = CandidateSet(cols=[np.array([0, 10], dtype=np.int64), [2, 4]], n=10)
     assert [c.dtype for c in T.cols] == [np.int16, np.int16]
     assert T.points.tolist() == [[0, 2], [10, 4]]
+
+
+def test_candidate_set_sorts_outside_rows():
+    assert CandidateSet([[4, 0, 2]], 4).cols[0].tolist() == [0, 2, 4]
+    T = CandidateSet(cols=[[2, 0, 2, 0], [0, 4, 2, 0]], n=4)
+    assert T.points.tolist() == [[0, 0], [0, 4], [2, 0], [2, 2]]
+
+
+def test_unsorted_outside_set_acts_like_its_sorted_copy():
+    rng = np.random.default_rng(12)
+    for k, n in [(1, 40), (2, 20), (3, 10)]:
+        pts = rng.integers(0, n // 2 + 1, size=(60, k)) * 2  # with duplicates
+        ordered = pts[np.lexsort(pts.T[::-1])]
+        T, S = CandidateSet(list(pts.T), n), CandidateSet(list(ordered.T), n)
+        assert np.array_equal(T.points, ordered)
+        assert select_query_point(T, n, k) == select_query_point(S, n, k)
+        for _ in range(10):
+            a = tuple(int(v) for v in rng.integers(0, n + 1, size=k))
+            s = tuple(int(v) for v in rng.choice((-1, 1), size=k))
+            assert np.array_equal(eliminate(T, a, s).points, eliminate(S, a, s).points)
+
+
+def test_columns_are_read_only_and_k1_survivors_share_memory():
+    for T in (CandidateSet.initial(8, 1), CandidateSet.initial(8, 2), CandidateSet([[4, 0]], 4)):
+        for c in T.cols:
+            with pytest.raises(ValueError):
+                c[0] = 2
+    # the intake copies: a caller's array, even one already sorted in the grid
+    # dtype, is neither kept nor locked
+    mine = np.array([0, 2, 4], dtype=np.int16)
+    T = CandidateSet([mine], 4)
+    assert mine.flags.writeable and not np.shares_memory(mine, T.cols[0])
+    T = CandidateSet.initial(16, 1)
+    for s in (1, -1):
+        after = eliminate(T, (8,), (s,))
+        assert np.shares_memory(after.cols[0], T.cols[0])
+        assert not after.cols[0].flags.writeable
+    # one k = 1 column per n, built once: solves at one precision do not refill it
+    assert CandidateSet.initial(16, 1).cols[0] is T.cols[0]
+    assert CandidateSet.initial(18, 1).cols[0] is not T.cols[0]
+
+
+def test_solver_sets_stay_in_lexicographic_order():
+    gamma = 0.5
+    for k, n in [(1, 2 ** 16), (2, 512), (3, 128)]:
+        p = np.random.default_rng(k).uniform(0, n / 8, size=k)  # far from the first query
+        g = grid_oracle(lambda x: tuple(np.clip(p - (1 - gamma) * (np.asarray(x) - p), 0, n)),
+                        k, gamma, n, fixed_point=tuple(p))
+        sizes = []
+
+        def check(rec, before, after):
+            for T in (before, after):
+                if T is not None:
+                    P = T.points
+                    assert np.array_equal(P, P[np.lexsort(P.T[::-1])])
+            sizes.append(len(before))
+
+        assert solve(g, gamma, on_round=check).outcome == "fixed-point-found"
+        assert len(sizes) >= 3
+
+
+def test_contains_points_on_unsorted_intake():
+    T = CandidateSet(cols=[[4, 0, 4, 2, 0], [2, 8, 0, 2, 0]], n=8)
+    mask = T.contains_points([(4, 0), (4, 2), (0, 8), (0, 0), (2, 2), (2, 0), (4, 4), (0, 2)])
+    assert list(mask) == [True, True, True, True, True, False, False, False]
 
 
 def test_eliminate_one_dimensional_example():
