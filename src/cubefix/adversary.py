@@ -44,6 +44,7 @@ SQRT2 = math.sqrt(2.0)
 SIDE_LENGTH = 1.0 / SQRT2
 
 _UV_SLACK = 4e-12
+_RATIO_TOL = 1e-12  # float slack of check_diagonal_nonexpansive
 
 
 class DiamondMap:
@@ -152,15 +153,14 @@ def extend_to_square(m: DiamondMap) -> ContractionOracle:
 def check_diagonal_nonexpansive(fn: Callable[[Sequence[float]], Sequence[float]],
                                 samples: int = 10_000, *,
                                 rng: np.random.Generator | None = None,
-                                domain: str = "square",
-                                tol: float = 1e-12) -> dict:
+                                domain: str = "square") -> dict:
     """Sample pairs along the two diagonal directions and check non-expansion.
 
     Diagonal moves (+-45 degrees) change exactly one of U, V, and the
     original l-infinity distance is the path metric over such moves, so
     non-expansion on diagonal pairs implies it in general (the staircase
     corner point stays inside the clamped box).  Returns a report with the
-    worst observed ratio and up to ten witnesses of ratios above ``1 + tol``.
+    worst observed ratio and up to ten witnesses of ratios above ``1 + _RATIO_TOL``.
     """
     if domain not in ("square", "diamond"):
         raise ValueError(f"domain must be 'square' or 'diamond', got {domain!r}")
@@ -198,7 +198,7 @@ def check_diagonal_nonexpansive(fn: Callable[[Sequence[float]], Sequence[float]]
         ratio = d1 / d0
         if ratio > max_ratio:
             max_ratio = ratio
-        if ratio > 1.0 + tol and len(witnesses) < 10:
+        if ratio > 1.0 + _RATIO_TOL and len(witnesses) < 10:
             witnesses.append({"p": [float(v) for v in p], "q": [float(v) for v in q],
                               "ratio": float(ratio)})
     return {"samples": samples, "max_ratio": float(max_ratio),

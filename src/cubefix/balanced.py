@@ -21,7 +21,7 @@ and ``coverage_counts`` counts each run in closed form.  Thresholds compare
 The searches read a set as ``k`` columns in the grid's dtype: a solver
 ``CandidateSet`` lends its own as they are, and a plain point array is
 checked and narrowed once by :func:`~cubefix.geometry.grid_columns`.
-``is_balanced`` scores int64 columns, so its query point may lie anywhere.
+``is_balanced`` casts each column to int64 once, so its query point may lie anywhere.
 
 Three search routines:
 
@@ -64,9 +64,8 @@ def all_sign_vectors(k: int) -> np.ndarray:
 
 
 def _point_columns(T) -> list[np.ndarray]:
-    """Columns of a point array in its own dtype, or of a set's ``points``; 1-d input is k = 1."""
-    pts = np.asarray(getattr(T, "points", T))
-    return list(pts.reshape(-1, 1).T if pts.ndim == 1 else pts.T)
+    """A set's own columns, or a point array's in its own dtype (1-d input is k = 1)."""
+    return T.cols if hasattr(T, "cols") else list(np.atleast_2d(np.asarray(T).T))
 
 
 def _grid_columns(T, n: int, k: int) -> list[np.ndarray]:
@@ -134,7 +133,7 @@ def coverage_counts(runs: Sequence[np.ndarray], q: Sequence[int], signs: np.ndar
 def is_balanced(q: Sequence[int], T) -> bool:
     """Exact balancedness test of ``q`` against ``T`` (a CandidateSet or point array).
 
-    Scores int64 columns, so ``q`` may lie anywhere.  An empty ``T`` makes
+    Scores an int64 copy of each column, so ``q`` may lie anywhere.  An empty ``T`` makes
     every point vacuously balanced; a non-empty point array that is not of an
     integer dtype raises ``ValueError``.  Examples on the k = 1 set
     {0, 2, 4, 6, 8}: q = 4 is balanced, q = 0 is not (only one of five points
@@ -254,7 +253,7 @@ def _unit_directions(k: int) -> list[np.ndarray]:
 
 
 def _descend(runs, q: np.ndarray, n: int, signs: np.ndarray, m: int,
-             dirs: list[np.ndarray], budget: int, memo: dict) -> np.ndarray | None:
+             dirs: list[np.ndarray], memo: dict) -> np.ndarray | None:
     """First-improvement descent on the deficit ``sum_s max(0, m - 2 cov_s)`` from one start.
 
     Step sizes sweep a halving schedule from ~n/2 down to 1; candidate moves
@@ -263,7 +262,7 @@ def _descend(runs, q: np.ndarray, n: int, signs: np.ndarray, m: int,
     function of the inputs.  ``memo`` maps each point already scored to its
     ``(deficit, coverage)``, so a point is scored once per select, however
     often the walk returns to it (mostly by reversing the last accepted
-    move); a memo hit still counts as an evaluation against ``budget``.
+    move); a memo hit still counts as an evaluation against ``_DESCENT_BUDGET``.
     Scores ``runs``, the set's :func:`runs_of`; returns a balanced point or None on a stall.
     """
     def score(p: np.ndarray) -> tuple[int, np.ndarray]:
@@ -280,7 +279,7 @@ def _descend(runs, q: np.ndarray, n: int, signs: np.ndarray, m: int,
     step = 1 << max(0, int(n).bit_length() - 2)
     while step >= 1:
         improved = True
-        while improved and evals < budget:
+        while improved and evals < _DESCENT_BUDGET:
             improved = False
             failing = 2 * cov < m
             agg = -(signs[failing].sum(axis=0))
@@ -337,7 +336,7 @@ def select_query_point(T, n: int, k: int) -> GridPoint:
     memo: dict = {}
     for start in starts:
         q0 = np.clip(start.astype(np.int64), 0, n)
-        q = _descend(runs, q0, n, signs, m, dirs, _DESCENT_BUDGET, memo)
+        q = _descend(runs, q0, n, signs, m, dirs, memo)
         if q is not None:
             return tuple(int(v) for v in q)
     return find_balanced_point(T, n, k)

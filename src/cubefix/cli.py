@@ -38,8 +38,7 @@ from .adversary import StripFamily, check_diagonal_nonexpansive, eval_diamond_ma
 from .errors import InstanceTooLargeError, InternalInvariantError
 from .geometry import linf_dist
 from .oracles import InstanceSpec, build_instance, make_instance
-from .solver import (DEFAULT_CANDIDATE_CAP, OUTCOME_FIXED_POINT, OUTCOME_VIOLATION,
-                     picard_baseline, query_bound, solve_unit_cube)
+from .solver import DEFAULT_CANDIDATE_CAP, OUTCOME_VIOLATION, picard_baseline, solve_unit_cube
 from .total import solve_total
 
 __all__ = ["main", "build_parser"]
@@ -92,6 +91,9 @@ def _instance_gamma(family: str, gamma: float) -> float:
 def _resolve_instance(args) -> tuple[InstanceSpec, object]:
     if args.instance_file is not None:
         spec = InstanceSpec.loads(Path(args.instance_file).read_text())
+        for flag, given, found in (("--k", args.k, spec.k), ("--family", args.family, spec.family)):
+            if given is not None and given != found:
+                raise UsageError(f"instance file has {flag[2:]} {found}, not {flag} {given}")
         return spec, build_instance(spec)
     family = args.family or "affine"
     k = args.k if args.k is not None else 2
@@ -106,8 +108,6 @@ def cmd_solve(args) -> int:
     spec, oracle = _resolve_instance(args)
     eps = _check_eps(args.eps if args.eps is not None else spec.epsilon)
     gamma = _check_gamma(args.gamma if args.gamma is not None else spec.gamma)
-    if args.k is not None and args.instance_file is None and args.k != spec.k:
-        raise UsageError(f"instance dimension {spec.k} does not match --k {args.k}")
     out: dict = {"command": "solve", "instance": spec.to_json_obj(), "eps": eps,
                  "gamma": gamma, "cap": args.cap, "seed": args.seed,
                  "total": bool(args.total)}
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="instance family: affine, constant, reflection, "
                             "identity, diamond (default affine)")
         p.add_argument("--instance-file", default=None,
-                       help="JSON instance spec to load instead of --family")
+                       help="JSON instance spec to load; a given --k or --family must match it")
         p.add_argument("--k", type=int, default=None, help="dimension (default 2)")
         p.add_argument("--eps", type=float, default=None,
                        help="target residual, in (0, 1) (default 0.5)")

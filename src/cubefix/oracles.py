@@ -36,6 +36,8 @@ import numpy as np
 
 from .geometry import RealPoint, linf_dist
 
+_EXCESS_TOL = 1e-12  # float slack of sampled_contraction_check
+
 
 class QueryTranscript:
     """Ordered record of (query, answer) pairs, both tuples of floats.
@@ -259,12 +261,11 @@ class GridView:
 
 
 def sampled_contraction_check(f: ContractionOracle, pairs: int = 10_000,
-                              rng: np.random.Generator | None = None,
-                              tol: float = 1e-12) -> dict:
+                              rng: np.random.Generator | None = None) -> dict:
     """Spot-check the declared contraction factor on random pairs.
 
     Draws ``pairs`` uniform pairs from the cube and verifies
-    ``|f(x) - f(y)| <= (1 - gamma) |x - y| + tol`` via unrecorded probes.
+    ``|f(x) - f(y)| <= (1 - gamma) |x - y| + _EXCESS_TOL`` via unrecorded probes.
     Returns a report dict with the worst excess and up to ten witnesses.
     """
     rng = np.random.default_rng(0) if rng is None else rng
@@ -277,7 +278,7 @@ def sampled_contraction_check(f: ContractionOracle, pairs: int = 10_000,
         excess = linf_dist(f.probe(x), f.probe(y)) - factor * linf_dist(x, y)
         if excess > worst:
             worst = excess
-        if excess > tol and len(witnesses) < 10:
+        if excess > _EXCESS_TOL and len(witnesses) < 10:
             witnesses.append({"x": list(x), "y": list(y), "excess": excess})
     return {"pairs": pairs, "worst_excess": worst, "violations": witnesses,
             "passed": not witnesses}

@@ -397,29 +397,18 @@ _ELIMINATE_MUTANTS: dict[str, Callable] = {
 
 MUTATIONS = tuple(sorted(_ELIMINATE_MUTANTS))
 
-_SUITES: tuple[tuple[str, Callable], ...] = (
-    ("residual-locates-fixed-point", fixed_point_region_suite),
-    ("around-ball-stays-in-union", around_containment_suite),
-    ("opposite-pyramid-is-disjoint", escape_pyramid_suite),
-    ("balanced-point-exists", balanced_point_suite),
-    ("elimination-halves-and-keeps-neighborhood", halving_containment_suite),
-    ("transcript-extension-matches-and-contracts", extension_consistency_suite),
-    ("diamond-map-diagonal-nonexpansive", diagonal_pairs_suite),
-    ("rescaled-oracle-keeps-factor", rescale_contraction_suite),
+_SUITES: tuple[tuple[str, Callable, int], ...] = (  # name, suite, default trials
+    ("residual-locates-fixed-point", fixed_point_region_suite, 200),
+    ("around-ball-stays-in-union", around_containment_suite, 200),
+    ("opposite-pyramid-is-disjoint", escape_pyramid_suite, 200),
+    ("balanced-point-exists", balanced_point_suite, 200),
+    ("elimination-halves-and-keeps-neighborhood", halving_containment_suite, 30),
+    ("transcript-extension-matches-and-contracts", extension_consistency_suite, 100),
+    ("diamond-map-diagonal-nonexpansive", diagonal_pairs_suite, 30),
+    ("rescaled-oracle-keeps-factor", rescale_contraction_suite, 30),
 )
 
-SUITE_NAMES = tuple(name for name, _ in _SUITES)
-
-_DEFAULT_TRIALS = {
-    "residual-locates-fixed-point": 200,
-    "around-ball-stays-in-union": 200,
-    "opposite-pyramid-is-disjoint": 200,
-    "balanced-point-exists": 200,
-    "elimination-halves-and-keeps-neighborhood": 30,
-    "transcript-extension-matches-and-contracts": 100,
-    "diamond-map-diagonal-nonexpansive": 30,
-    "rescaled-oracle-keeps-factor": 30,
-}
+SUITE_NAMES = tuple(name for name, _, _ in _SUITES)
 
 
 def run_all(trials: int | None = None, seed: int = 0,
@@ -434,9 +423,9 @@ def run_all(trials: int | None = None, seed: int = 0,
     if mutate is not None and mutate not in _ELIMINATE_MUTANTS:
         raise ValueError(f"unknown mutation {mutate!r}; known: {', '.join(MUTATIONS)}")
     reports = []
-    for idx, (name, fn) in enumerate(_SUITES):
+    for idx, (name, fn, default) in enumerate(_SUITES):
         rng = np.random.default_rng([seed, idx])
-        count = _DEFAULT_TRIALS[name] if trials is None else trials
+        count = default if trials is None else trials
         kwargs = {}
         if name == "elimination-halves-and-keeps-neighborhood" and mutate is not None:
             kwargs["eliminate_fn"] = _ELIMINATE_MUTANTS[mutate]

@@ -27,14 +27,14 @@ weakly-contracting or merely non-expansive map by ``1 - eps/2`` exactly when
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .balanced import select_query_point
 from .errors import InstanceTooLargeError, InternalInvariantError
-from .geometry import (GridPoint, RealPoint, SignVector, even_count, even_grid, grid_columns,
+from .geometry import (GridPoint, SignVector, even_count, even_grid, grid_columns,
                        linf_dist, sign_vector)
 from .oracles import ContractionOracle, GridView, strong_to_weak
 
@@ -51,7 +51,7 @@ OUTCOME_VIOLATION = "violation-found"
 OUTCOME_FAILURE = "failure"
 
 
-@dataclass
+@dataclass(eq=False)  # sets compare by identity: columns are arrays
 class CandidateSet:
     """All-even candidate points of ``[0, n]^k`` as ``k`` contiguous columns in ``grid_dtype(n)``.
 

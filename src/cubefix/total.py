@@ -120,8 +120,7 @@ def scan_violations(transcript: QueryTranscript | Iterable[Entry],
     return None
 
 
-def extend_consistent(transcript: QueryTranscript | Iterable[Entry], gamma: float,
-                      k: int | None = None) -> ContractionOracle:
+def extend_consistent(transcript: QueryTranscript | Iterable[Entry], gamma: float) -> ContractionOracle:
     """Extend a violation-free transcript to a contraction on the whole cube.
 
     Returns an oracle computing ``f(x)_i = min(1, min_t ((1 - gamma) *
@@ -137,8 +136,7 @@ def extend_consistent(transcript: QueryTranscript | Iterable[Entry], gamma: floa
     entries = _as_entries(transcript)
     if not entries:
         raise ValueError("cannot extend an empty transcript")
-    if k is None:
-        k = len(entries[0][0])
+    k = len(entries[0][0])
     for q, a in entries:
         if len(q) != k or len(a) != k:
             raise ValueError(f"transcript entries must have dimension {k}")

@@ -395,6 +395,33 @@ def test_select_query_point_falls_back_to_exact_search(monkeypatch):
         assert balanced_by_definition(q, T)
 
 
+def test_select_query_point_descends_past_six_dimensions(monkeypatch):
+    # Above k = 6 the descent moves along the 2k axis directions only.  Subsets
+    # of EVEN(6, 7) thinned towards the origin make it walk several steps.
+    n, k = 6, 7
+    grid = np.stack(CandidateSet.initial(n, k).cols, axis=1)
+    calls, scored = [], []
+
+    def counted(runs, q, signs):
+        calls.append(q)
+        return coverage_counts(runs, q, signs)
+
+    def no_fallback(*args):
+        raise AssertionError("every descent start stalled")
+
+    monkeypatch.setattr(cubefix.balanced, "coverage_counts", counted)
+    monkeypatch.setattr(cubefix.balanced, "find_balanced_point", no_fallback)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        T = grid[rng.random(len(grid)) < 0.6 ** (grid.sum(axis=1) / 2)]
+        before = len(calls)
+        q = select_query_point(T, n, k)
+        scored.append(len(calls) - before)
+        assert all(0 <= v <= n for v in q)
+        assert is_balanced(q, T)
+    assert np.mean(scored) >= 17, scored
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         find_balanced_point([], 4, 2)

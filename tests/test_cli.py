@@ -65,6 +65,23 @@ def test_solve_instance_file_round_trip(tmp_path):
     assert obj["result"]["outcome"] == "fixed-point-found"
 
 
+def test_solve_instance_file_refuses_a_conflicting_k_or_family(tmp_path):
+    spec_file = tmp_path / "inst.json"
+    spec_file.write_text(json.dumps({
+        "family": "affine", "k": 2, "gamma": 0.5, "epsilon": 0.5, "seed": 1,
+        "params": {"M": [[0.3, 0.1], [0.2, -0.4]], "c": [0.3, 0.4]},
+    }))
+    for flags in (["--k", "3"], ["--family", "constant"],
+                  ["--k", "3", "--family", "constant", "--seed", "9"]):
+        proc = run_cli("solve", "--instance-file", str(spec_file), *flags, expect=1)
+        assert "instance file has" in proc.stderr and not proc.stdout
+    # flags that agree with the file are fine, and --eps still overrides it
+    proc = run_cli("solve", "--instance-file", str(spec_file), "--k", "2",
+                   "--family", "affine", "--eps", "0.25")
+    obj = json.loads(proc.stdout)
+    assert obj["instance"]["k"] == 2 and obj["eps"] == 0.25
+
+
 def test_solve_rejects_unknown_family():
     proc = run_cli("solve", "--family", "parity-game", expect=1)
     assert proc.stderr.strip()

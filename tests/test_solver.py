@@ -115,6 +115,13 @@ def test_columns_are_read_only_and_k1_survivors_share_memory():
     assert CandidateSet.initial(18, 1).cols[0] is not T.cols[0]
 
 
+def test_candidate_sets_compare_by_identity():
+    # generated field-wise equality would compare lists of arrays and raise
+    T = CandidateSet.initial(8, 2)
+    assert T == T
+    assert (T == CandidateSet.initial(8, 2)) is False
+
+
 def test_solver_sets_stay_in_lexicographic_order():
     gamma = 0.5
     for k, n in [(1, 2 ** 16), (2, 512), (3, 128)]:
@@ -241,6 +248,47 @@ def test_solve_halving_and_containment_every_round():
         res = solve(g, 0.5, on_round=check)
         assert res.outcome == "fixed-point-found"
         assert seen == list(range(1, res.queries + 1))
+
+
+def grid_mirror(p, gamma, n):
+    """``clip(p - (1 - gamma)(x - p), 0, n)``: a tight contraction with fixed point ``p``."""
+    def fn(x):
+        return tuple(min(n, max(0.0, pi - (1 - gamma) * (xi - pi))) for xi, pi in zip(x, p))
+    return grid_oracle(fn, len(p), gamma, n, fixed_point=p)
+
+
+@pytest.mark.parametrize("k, n", [(1, 2 ** 16), (2, 1024)])
+def test_grid_mirror_solves_halve_and_keep_the_fixed_point_for_many_rounds(k, n):
+    # Built-in families mostly stop within a few rounds; a mirror through a
+    # uniform p runs 5-11 rounds here, each checked.
+    gamma = 0.5
+    rng = np.random.default_rng(k)
+    queries = []
+    for _ in range(20):
+        p = tuple(float(v) for v in rng.uniform(0, n, size=k))
+        near = even_points_near(p, n, k)
+
+        def check(rec, before, after):
+            if after is not None:
+                assert 2 * len(after) <= len(before)
+                assert after.contains_points(near).all()
+
+        res = solve(grid_mirror(p, gamma, n), gamma, on_round=check)
+        assert res.outcome == "fixed-point-found"
+        assert res.queries <= query_bound(n, k)
+        queries.append(res.queries)
+    assert np.mean(queries) >= 6
+
+
+def test_solve_k7_grid_within_query_bound():
+    # At n <= 16 every residual is at most 16 / gamma, so the first query
+    # stops; the select before it runs the k > 6 descent on 16,384 rows.
+    n, k, gamma = 6, 7, 0.5
+    c = (0.0, 6.0, 1.0, 5.0, 2.0, 4.0, 3.0)
+    res = solve(grid_oracle(lambda x: c, k, gamma, n, fixed_point=c), gamma)
+    assert res.outcome == "fixed-point-found"
+    assert res.queries <= query_bound(n, k)
+    assert all(0 <= v <= n for v in res.answer)
 
 
 def test_residual_small_near_fixed_point():
