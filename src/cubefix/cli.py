@@ -91,7 +91,8 @@ def _instance_gamma(family: str, gamma: float) -> float:
 def _resolve_instance(args) -> tuple[InstanceSpec, object]:
     if args.instance_file is not None:
         spec = InstanceSpec.loads(Path(args.instance_file).read_text())
-        for flag, given, found in (("--k", args.k, spec.k), ("--family", args.family, spec.family)):
+        for flag, given, found in (("--k", args.k, spec.k), ("--family", args.family, spec.family),
+                                   ("--seed", args.seed, spec.seed)):
             if given is not None and given != found:
                 raise UsageError(f"instance file has {flag[2:]} {found}, not {flag} {given}")
         return spec, build_instance(spec)
@@ -99,9 +100,8 @@ def _resolve_instance(args) -> tuple[InstanceSpec, object]:
     k = args.k if args.k is not None else 2
     gamma = args.gamma if args.gamma is not None else 0.5
     eps = args.eps if args.eps is not None else 0.5
-    spec, oracle = make_instance(family, k, _instance_gamma(family, gamma),
-                                 eps, args.seed)
-    return spec, oracle
+    seed = args.seed if args.seed is not None else 0
+    return make_instance(family, k, _instance_gamma(family, gamma), eps, seed)
 
 
 def cmd_solve(args) -> int:
@@ -109,7 +109,7 @@ def cmd_solve(args) -> int:
     eps = _check_eps(args.eps if args.eps is not None else spec.epsilon)
     gamma = _check_gamma(args.gamma if args.gamma is not None else spec.gamma)
     out: dict = {"command": "solve", "instance": spec.to_json_obj(), "eps": eps,
-                 "gamma": gamma, "cap": args.cap, "seed": args.seed,
+                 "gamma": gamma, "cap": args.cap, "seed": spec.seed,
                  "total": bool(args.total)}
     if args.total:
         total = solve_total(oracle, eps, gamma, cap=args.cap)
@@ -303,13 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="instance family: affine, constant, reflection, "
                             "identity, diamond (default affine)")
         p.add_argument("--instance-file", default=None,
-                       help="JSON instance spec to load; a given --k or --family must match it")
+                       help="JSON instance spec to load; a given --k, --family or --seed "
+                            "must match it")
         p.add_argument("--k", type=int, default=None, help="dimension (default 2)")
         p.add_argument("--eps", type=float, default=None,
                        help="target residual, in (0, 1) (default 0.5)")
         p.add_argument("--gamma", type=float, default=None,
                        help="claimed contraction margin, in [0, 1) (default 0.5)")
-        p.add_argument("--seed", type=int, default=0, help="instance seed")
+        p.add_argument("--seed", type=int, default=None, help="instance seed (default 0)")
         p.add_argument("--cap", type=int, default=DEFAULT_CANDIDATE_CAP,
                        help="candidate-set size cap")
         p.add_argument("--out", default=None, help="result file (default stdout)")

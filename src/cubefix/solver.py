@@ -96,9 +96,12 @@ class CandidateSet:
         return len(self.cols[0])
 
     def contains_points(self, pts: Sequence[Sequence[int]]) -> np.ndarray:
-        """Membership mask for an ``(m, k)`` integer array of points: rows matching a point's
-        first ``i`` coordinates are sorted on column ``i``; two searches narrow them per ``i``."""
-        pts = np.asarray(pts, dtype=np.int64).reshape(-1, self.k)
+        """Membership mask for an ``(m, k)`` integer array of points (any other shape raises
+        ``ValueError``): rows matching a point's first ``i`` coordinates are sorted on column
+        ``i``; two searches narrow them per ``i``."""
+        pts = np.asarray(pts, dtype=np.int64)
+        if pts.ndim != 2 or pts.shape[1] != self.k:
+            raise ValueError(f"points must form an (m, {self.k}) array, got shape {pts.shape}")
         out = np.zeros(len(pts), dtype=bool)
         for j, p in enumerate(pts.tolist()):
             if all(0 <= v <= self.n for v in p):

@@ -5,7 +5,8 @@ definition (max + min of signed offsets per point), independently of the
 vectorised implementation under test.  ``reference_coverage_counts`` is the
 plain one-pass-per-sign kernel over rows, kept as a second reference for sets
 too large for the verifier; ``expand_runs`` turns the kernel's runs back into
-rows for it.
+rows for it.  ``reference_box_feasible`` is a row-based branch-and-bound box
+test: every sign at its best corner by the max + min identity on int64 rows.
 """
 
 import itertools
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import cubefix.balanced
 from cubefix.balanced import (
+    _BranchBound,
     _k2_point,
     _median_interval,
     _order_statistics,
@@ -50,6 +52,16 @@ def reference_coverage_counts(cols, q, signs):
             np.minimum(mn, b, out=mn)
         out[si] = int(np.count_nonzero(mx >= -mn))
     return out
+
+
+def reference_box_feasible(cols, lo, hi):
+    """Whether every sign's best corner of the box ``[lo, hi]`` covers half of the rows:
+    the max + min identity on int64 rows, all signs in one broadcast."""
+    signs = all_sign_vectors(len(cols))[:, :, None]
+    corner = np.where(signs > 0, np.asarray(lo)[:, None], np.asarray(hi)[:, None])
+    sd = signs * (np.stack(cols).astype(np.int64) - corner)
+    cov = (sd.max(axis=1) + sd.min(axis=1) >= 0).sum(axis=1)
+    return 2 * int(cov.min()) >= len(cols[0])
 
 
 def expand_runs(runs):
@@ -192,6 +204,50 @@ def test_coverage_counts_on_shuffled_runs_matches_reference():
                 for q in ([0] * k, [n] * k, [int(v) for v in rng.integers(0, n + 1, size=k)]):
                     want = reference_coverage_counts(cols, q, signs)
                     assert list(coverage_counts(runs, q, signs)) == list(want)
+
+
+def test_coverage_counts_on_a_stack_of_points_matches_each_point():
+    rng = np.random.default_rng(15)
+    for k in range(1, 5):
+        signs = all_sign_vectors(k)
+        for n in (12, 40_000):
+            pts = rng.integers(0, n // 2 + 1, size=(300, k)) * 2
+            runs = runs_of(grid_columns(list(pts.T), n))
+            qs = rng.integers(0, n + 1, size=(int(rng.integers(1, 20)), k))
+            got = coverage_counts(runs, qs, signs)
+            assert got.shape == (len(qs), 2 ** k)
+            for q, row in zip(qs, got):
+                one = coverage_counts(runs, q, signs)
+                assert one.shape == (2 ** k,) and row.tolist() == one.tolist()
+            assert coverage_counts(runs, qs[:1], signs).shape == (1, 2 ** k)
+
+
+def test_box_test_matches_the_row_kernel():
+    # Random boxes, degenerate boxes and boxes ending at each set's selected point,
+    # on random even sets, on sets above the row kernel's old block of 65,536
+    # values (signs x rows x k) and on eliminated grids.
+    rng = np.random.default_rng(16)
+    sets = [(T.cols, n) for T, n, _ in _shrunk_grids((-1, 0, 1))]
+    for k, n, sizes in [(3, 10, (1, 5, 29, 150)), (4, 8, (1, 7, 40, 300)),
+                        (3, 40, (4000,)), (4, 16, (3000,))]:
+        for size in sizes:
+            pts = rng.integers(0, n // 2 + 1, size=(size, k)) * 2
+            sets.append((grid_columns(list(pts.T), n), n))
+    verdicts = set()
+    for cols, n in sets:
+        k = len(cols)
+        box = _BranchBound(cols, n)
+        q = np.array(select_query_point(CandidateSet(cols, n), n, k))
+        boxes = [(q, q), (np.maximum(q - 1, 0), q), (np.zeros(k, int), q)]
+        for _ in range(30):
+            lo = rng.integers(0, n + 1, size=k)
+            hi = lo + rng.integers(0, n + 1 - lo)
+            boxes += [(lo, hi), (lo, lo)]
+        for lo, hi in boxes:
+            want = reference_box_feasible(cols, lo, hi)
+            assert box._box_feasible(lo, hi) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_coverage_counts_needs_the_full_sign_table():
@@ -393,6 +449,19 @@ def test_select_query_point_falls_back_to_exact_search(monkeypatch):
         q = select_query_point(T, 10, 3)
         assert q == find_balanced_point(T, 10, 3)
         assert balanced_by_definition(q, T)
+
+
+def test_select_query_point_falls_back_to_exact_search_on_solver_sized_sets(monkeypatch):
+    # EVEN(48, 3) after one elimination at its select point: 6,480 rows, about 1,700
+    # box tests.  Searched with reference_box_feasible, it ends at the same point.
+    monkeypatch.setattr(cubefix.balanced, "_descend", lambda *args, **kwargs: None)
+    n, k = 48, 3
+    T = CandidateSet.initial(n, k)
+    T = eliminate(T, select_query_point(T, n, k), (1, 1, 1))
+    assert len(T) == 6480
+    q = select_query_point(T, n, k)
+    assert q == find_balanced_point(T, n, k) == (30, 30, 30)
+    assert is_balanced(q, T)
 
 
 def test_select_query_point_descends_past_six_dimensions(monkeypatch):

@@ -82,6 +82,22 @@ def test_solve_instance_file_refuses_a_conflicting_k_or_family(tmp_path):
     assert obj["instance"]["k"] == 2 and obj["eps"] == 0.25
 
 
+def test_solve_echoes_the_seed_of_the_instance_it_solves(tmp_path):
+    spec_file = tmp_path / "inst.json"
+    spec_file.write_text(json.dumps({
+        "family": "constant", "k": 2, "gamma": 0.5, "epsilon": 0.5,
+        "seed": 1, "params": {"c": [0.25, 0.75]},
+    }))
+    for flags in ([], ["--seed", "1"]):
+        obj = json.loads(run_cli("solve", "--instance-file", str(spec_file), *flags).stdout)
+        assert obj["seed"] == obj["instance"]["seed"] == 1
+    proc = run_cli("solve", "--instance-file", str(spec_file), "--seed", "9", expect=1)
+    assert "instance file has seed 1, not --seed 9" in proc.stderr and not proc.stdout
+    for flags, seed in (([], 0), (["--seed", "9"], 9)):
+        obj = json.loads(run_cli("solve", "--family", "constant", *flags).stdout)
+        assert obj["seed"] == obj["instance"]["seed"] == seed
+
+
 def test_solve_rejects_unknown_family():
     proc = run_cli("solve", "--family", "parity-game", expect=1)
     assert proc.stderr.strip()

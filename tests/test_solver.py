@@ -60,6 +60,15 @@ def test_contains_points_mask():
     assert list(mask) == [True, False, False]
 
 
+def test_contains_points_refuses_points_of_another_dimension():
+    T = CandidateSet.initial(8, 2)
+    for bad in ([(0, 2, 4, 6)], [(0,), (2,)], [0, 2], np.zeros((1, 2, 2), dtype=int)):
+        with pytest.raises(ValueError):
+            T.contains_points(bad)
+    assert T.contains_points(np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+    assert T.contains_points(even_points_near((100.0, 100.0), 8, 2)).shape == (0,)
+
+
 def test_candidate_set_checks_outside_points():
     for bad in ([0, 3], [-2, 0], [0, 12], [65538]):
         with pytest.raises(ValueError):
@@ -257,11 +266,16 @@ def grid_mirror(p, gamma, n):
     return grid_oracle(fn, len(p), gamma, n, fixed_point=p)
 
 
-@pytest.mark.parametrize("k, n", [(1, 2 ** 16), (2, 1024)])
-def test_grid_mirror_solves_halve_and_keep_the_fixed_point_for_many_rounds(k, n):
+@pytest.mark.parametrize("k, n, gamma, floor", [
+    pytest.param(1, 2 ** 16, 0.5, 6, id="1-65536"),
+    pytest.param(2, 1024, 0.5, 6, id="2-1024"),
+    pytest.param(3, 200, 1.0, 4, id="3-200"),
+])
+def test_grid_mirror_solves_halve_and_keep_the_fixed_point_for_many_rounds(k, n, gamma, floor):
     # Built-in families mostly stop within a few rounds; a mirror through a
-    # uniform p runs 5-11 rounds here, each checked.
-    gamma = 0.5
+    # uniform p runs 5-11 rounds here at k <= 2, each checked.  At k = 3 and
+    # gamma = 0.5 it stops after 1 query at n = 64 and 3.3 on average at
+    # n = 128; gamma = 1, the constant map at p, runs 3-7 at n = 200.
     rng = np.random.default_rng(k)
     queries = []
     for _ in range(20):
@@ -277,7 +291,7 @@ def test_grid_mirror_solves_halve_and_keep_the_fixed_point_for_many_rounds(k, n)
         assert res.outcome == "fixed-point-found"
         assert res.queries <= query_bound(n, k)
         queries.append(res.queries)
-    assert np.mean(queries) >= 6
+    assert np.mean(queries) >= floor
 
 
 def test_solve_k7_grid_within_query_bound():
