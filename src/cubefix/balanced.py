@@ -9,16 +9,16 @@ workhorse identity, for full sign vectors,
 
 turns membership counting into two running extrema over coordinates.  Along
 a *run*, ``x_k = lo, lo + 2, ..`` under one prefix ``x_1 .. x_{k-1}``
-(:func:`runs_of`), the covered points form a ray: with ``u = s * (x - q)``,
-``A = max_{i<k} u_i`` and ``B = min_{i<k} u_i``, ``max(A, u_k) + min(B, u_k)``
-is nondecreasing in ``u_k``, so
+(:func:`runs_of`), the prefix holds ``P = max_{i<k} |x_i - q_i|`` (0 at k = 1)
+or ``-P`` as an extremum of ``s * (x - q)``, so with ``s`` *reaching* ``P`` when
+``max_{i<k} s_i (x_i - q_i) = P`` (ties included),
 
-    s covers   iff  u_k >= τ≥,  τ≥ = -A if A + B >= 0 else -B,
-    -s covers  iff  u_k <= τ≤,  τ≤ = -B if A + B <= 0 else -A,  (τ≥ = τ≤ = 0 at k = 1)
+    s covers x   iff   s_k (x_k - q_k) >= -P  if s reaches P,  else >= P.
 
-and ``coverage_counts`` counts each run in closed form, at one point or a stack of
-points: every count in this module goes through it.  Thresholds compare
-``2 * count >= |T|`` in integers; no rationals, no floats.
+So a run is counted against two thresholds, ``q_k -+ P``, whatever the sign:
+:func:`coverage_counts` adds, for each prefix sign, the runs it reaches, and
+:func:`own_sign_counts` scores each sign at a point of its own; every count in this
+module goes through one of them, as ``2 * count >= |T|`` in integers, with no floats.
 The searches read a set as ``k`` columns in the grid's dtype: a solver
 ``CandidateSet`` lends its own as they are, and a plain point array is
 checked and narrowed once by :func:`~cubefix.geometry.grid_columns`.
@@ -29,10 +29,10 @@ Three search routines:
 * ``find_balanced_point``: the exact lexicographic minimum.  Closed form via
   weak-median intervals for k <= 2 (coverage for full signs depends only on
   the diagonal projections ``x_1 + x_2`` and ``x_1 - x_2``); depth-first
-  branch-and-bound with sound corner bounds for k >= 3, one ``coverage_counts``
+  branch-and-bound with sound corner bounds for k >= 3, one ``own_sign_counts``
   call per box.  Exponential worst case in higher dimension; on a 2-core Xeon VM,
   EVEN(64, 3) after one elimination (15,616 points) takes 3,195 box tests in
-  0.8 s, and one box test on EVEN(256, 3) about 7 ms.
+  0.25 s, and one box test on EVEN(256, 3) about 0.45 ms.
 * ``select_query_point``: what the solver calls.  Deterministic multi-start
   descent on the integer coverage deficit, with exact verification of the
   result and a fall back to the exact search if every start stalls.  A memo
@@ -96,43 +96,58 @@ def runs_of(cols: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 
 def coverage_counts(runs: Sequence[np.ndarray], q: Sequence, signs: np.ndarray) -> np.ndarray:
-    """For each full sign vector, how many points of ``runs`` (:func:`runs_of`) its pyramid
-    union at ``q`` covers, in O(#runs) work per sign and point.
+    """For each full sign vector, in sign order, how many points of ``runs`` (:func:`runs_of`)
+    its pyramid union at the point ``q`` covers.
 
-    ``q`` is one point, shape ``(k,)``, giving ``(2**k,)`` counts, or a stack of ``c`` points,
-    shape ``(c, k)``, giving ``(c, 2**k)``.  ``signs`` must be the :func:`all_sign_vectors`
-    table of dimension ``len(runs) - 1``; any other raises ``ValueError``.  By the module
-    docstring's ray rule, a run holds ``len - clip(ceil((q_k + τ≥ - lo) / 2), 0, len)``
-    points of ``s`` (``s_k = +1``) and ``clip(ceil((q_k + τ≤ + 1 - lo) / 2), 0, len)`` of
-    ``-s``, all points and pairs in one broadcast.  Exact integers in the column dtype, which
+    ``signs`` must be the :func:`all_sign_vectors` table of dimension ``len(runs) - 1``; any
+    other raises ``ValueError``.  By the module docstring's rule, each run is counted four
+    times, at or past and at or before ``x_k = q_k -+ P``, and each prefix sign adds a bool
+    mask of the runs it reaches times their differences.  Exact integers: the column dtype
     must hold ``q`` and ``2 max|x_i - q_i| + 2``, as ``grid_dtype(n)`` does for ``q`` in
-    ``[0, n]^k``.
+    ``[0, n]^k``; products are at most a run's ``len``, sums int32 below 2**31 points, else int64.
     """
     k = len(runs) - 1
     table = all_sign_vectors(k)
     if signs is not table and not np.array_equal(signs, table):
         raise ValueError(f"coverage_counts needs the full all_sign_vectors({k}) table")
     *pre, lo, lens = runs
-    qs = np.array(q, dtype=lo.dtype, ndmin=2)  # (c, k)
-    tau = np.zeros((2, len(qs), len(table) // 2, len(lo)), dtype=lo.dtype)  # τ≥, τ≤, s_k = +1
-    if k > 1:  # -u on those signs' prefixes, whose extrema are -A <= -B
-        d = np.array(pre) - qs[:, :-1, None]
-        nu = (-table[1::2, :-1, None]).astype(lo.dtype) * d[:, None]
-        na, nb = nu.min(axis=2), nu.max(axis=2)
-        diff = na - nb  # pick -A or -B by arithmetic: np.where is slow on int16
-        np.multiply(na + nb <= 0, diff, out=tau[0])
-        np.multiply(na + nb >= 0, diff, out=tau[1])
-        tau[0] += nb
-        np.subtract(na, tau[1], out=tau[1])
-    tau += (qs[:, -1:, None] + 1) - lo
-    tau[1] += 1
-    tau >>= 1  # per run: the first index with x_k - q_k >= τ≥, one past the last <= τ≤
-    np.maximum(tau, np.zeros_like(lens), out=tau)  # a scalar bound is ~10x slower on int16
-    np.minimum(tau, lens, out=tau)
-    cov = tau.sum(axis=3)
-    # Rows alternate s_k = -1, +1; the mirror of the i-th s_k = +1 row is i-th from the end.
-    out = np.stack([cov[1][:, ::-1], lens.sum() - cov[0]], axis=2).reshape(len(qs), -1)
-    return out if np.ndim(q) == 2 else out[0]
+    q = np.asarray(q, dtype=lo.dtype)
+    d = np.array(pre, dtype=lo.dtype).reshape(k - 1, len(lo)) - q[:-1, None]  # (k - 1, #runs)
+    P = np.abs(d).max(axis=0, initial=0)
+    reach = np.zeros((1, len(lo)), dtype=bool)  # per prefix sign: max_i s_i d_i == P
+    for hit in d[:, None] == np.stack([-P, P]):
+        reach = (reach[:, None] | hit).reshape(-1, len(lo))
+    t = np.empty((4, len(lo)), dtype=lo.dtype)  # <= q_k - P, >= q_k - P, <= q_k + P, >= q_k + P
+    np.subtract((q[-1] + 1) - lo, P, out=t[1])
+    np.add(t[1], 2 * P, out=t[3])
+    np.add(t[1::2], 1, out=t[::2])
+    t >>= 1
+    np.maximum(t, np.zeros_like(lens), out=t)  # a scalar bound is ~10x slower on int16
+    np.minimum(t, lens, out=t)
+    m = int(lens.sum())
+    acc = np.int32 if m < 2 ** 31 else np.int64  # no count exceeds m
+    fixed = np.array([0, m]) + [1, -1] * t[::3].sum(axis=1, dtype=acc)  # s_k = -1, +1, P unreached
+    extra = (reach[:, None] * (t[2:] - t[:2])).sum(axis=2, dtype=acc)  # (prefix sign, s_k)
+    return (extra + fixed).ravel()
+
+
+def own_sign_counts(runs: Sequence[np.ndarray], corners: np.ndarray) -> np.ndarray:
+    """Entry ``j`` of :func:`coverage_counts` at ``corners[j]``, for each of the ``2**k`` rows
+    of ``corners``: each sign scored at its own point, one threshold per run (the module
+    docstring's rule), every corner in one broadcast.  Same dtype bound as there.
+    """
+    k = len(runs) - 1
+    *pre, lo, lens = runs
+    s = all_sign_vectors(k).astype(lo.dtype)[:, :, None]
+    c = np.asarray(corners, dtype=lo.dtype)[:, :, None]
+    d = np.array(pre, dtype=lo.dtype).reshape(k - 1, len(lo)) - c[:, :-1]  # (2**k, k - 1, #runs)
+    t = np.abs(d).max(axis=1, initial=0)  # P, negated where s reaches it
+    np.negative(t, out=t, where=(s[:, :-1] * d).max(axis=1, initial=0) == t)
+    sk = s[:, -1]  # idx: the first x_k >= q_k + t (s_k = +1), one past the last <= q_k - t (-1)
+    idx = (sk * t + (c[:, -1] + (3 - sk) // 2) - lo) >> 1
+    np.maximum(idx, np.zeros_like(lens), out=idx)
+    np.minimum(idx, lens, out=idx)
+    return (sk[:, 0] > 0) * lens.sum() - sk[:, 0] * idx.sum(axis=1)  # len - idx or idx
 
 
 def is_balanced(q: Sequence[int], T) -> bool:
@@ -182,9 +197,8 @@ class _BranchBound:
     taking ``lo_i`` where ``s_i > 0`` and ``hi_i`` otherwise (moving ``q``
     against ``s`` only grows every accumulated term), so a box where some
     sign's best corner still covers less than half of ``T`` contains no
-    balanced point.  A box test is one :func:`coverage_counts` call on the
-    set's runs at the ``2**k`` best corners, in sign order, whose diagonal
-    pairs each sign with its own corner.  Splitting the first unresolved
+    balanced point.  A box test is one :func:`own_sign_counts` call on the
+    set's runs, each sign at its own best corner.  Splitting the first unresolved
     coordinate, lower half first, visits surviving leaves in lexicographic order.
     """
 
@@ -196,8 +210,8 @@ class _BranchBound:
         self.runs = runs_of(cols)
 
     def _box_feasible(self, lo: np.ndarray, hi: np.ndarray) -> bool:
-        cov = coverage_counts(self.runs, np.where(self.signs > 0, lo, hi), self.signs)
-        return 2 * int(cov.diagonal().min()) >= self.m
+        cov = own_sign_counts(self.runs, np.where(self.signs > 0, lo, hi))
+        return 2 * int(cov.min()) >= self.m
 
     def search(self) -> GridPoint | None:
         lo = np.zeros(self.k, dtype=np.int64)
@@ -240,37 +254,30 @@ def find_balanced_point(T, n: int, k: int) -> GridPoint:
     return q
 
 
-def _unit_directions(k: int) -> list[np.ndarray]:
+def _unit_directions(k: int) -> list[tuple[int, ...]]:
     if k <= 6:
-        return [np.array(d, dtype=np.int64) for d in product((-1, 0, 1), repeat=k) if any(d)]
-    dirs = []
-    for i in range(k):
-        for v in (-1, 1):
-            d = np.zeros(k, dtype=np.int64)
-            d[i] = v
-            dirs.append(d)
-    return dirs
+        return [d for d in product((-1, 0, 1), repeat=k) if any(d)]
+    return [tuple(v if j == i else 0 for j in range(k)) for i in range(k) for v in (-1, 1)]
 
 
-def _descend(runs, q: np.ndarray, n: int, signs: np.ndarray, m: int,
-             dirs: list[np.ndarray], memo: dict) -> np.ndarray | None:
+def _descend(runs, q: tuple[int, ...], n: int, signs: np.ndarray, m: int,
+             dirs: list[tuple[int, ...]], memo: dict) -> tuple[int, ...] | None:
     """First-improvement descent on the deficit ``sum_s max(0, m - 2 cov_s)`` from one start.
 
     Step sizes sweep a halving schedule from ~n/2 down to 1; candidate moves
     are the aggregate direction of the failing signs, each failing sign
     reversed, then all unit directions — a fixed order, so the walk is a pure
-    function of the inputs.  ``memo`` maps each point already scored to its
-    ``(deficit, coverage)``, so a point is scored once per select, however
-    often the walk returns to it (mostly by reversing the last accepted
-    move); a memo hit still counts as an evaluation against ``_DESCENT_BUDGET``.
+    function of the inputs.  ``memo`` maps each point already scored (points and
+    moves are int tuples) to its ``(deficit, coverage)``, so a point is scored once
+    per select, however often the walk returns to it (mostly by reversing the last
+    accepted move); a memo hit still counts as an evaluation against ``_DESCENT_BUDGET``.
     Scores ``runs``, the set's :func:`runs_of`; returns a balanced point or None on a stall.
     """
-    def score(p: np.ndarray) -> tuple[int, np.ndarray]:
-        key = tuple(int(v) for v in p)
-        if key not in memo:
+    def score(p: tuple[int, ...]) -> tuple[int, np.ndarray]:
+        if p not in memo:
             cov = coverage_counts(runs, p, signs)
-            memo[key] = int(np.maximum(0, m - 2 * cov).sum()), cov
-        return memo[key]
+            memo[p] = int(np.maximum(0, m - 2 * cov).sum()), cov
+        return memo[p]
 
     deficit, cov = score(q)
     evals = 1
@@ -281,15 +288,11 @@ def _descend(runs, q: np.ndarray, n: int, signs: np.ndarray, m: int,
         improved = True
         while improved and evals < _DESCENT_BUDGET:
             improved = False
-            failing = 2 * cov < m
-            agg = -(signs[failing].sum(axis=0))
-            moves: list[np.ndarray] = []
-            if np.any(agg != 0):
-                moves.append(np.sign(agg).astype(np.int64))
-            moves.extend(-s for s in signs[failing])
-            moves.extend(dirs)
+            failing = signs[2 * cov < m]
+            agg = tuple(np.sign(-failing.sum(axis=0)).tolist())
+            moves = ([agg] if any(agg) else []) + list(map(tuple, (-failing).tolist())) + dirs
             for dvec in moves:
-                q2 = np.clip(q + step * dvec, 0, n)
+                q2 = tuple(min(n, max(0, a + step * b)) for a, b in zip(q, dvec))
                 d2, cov2 = score(q2)
                 evals += 1
                 if d2 < deficit:
@@ -335,8 +338,7 @@ def select_query_point(T, n: int, k: int) -> GridPoint:
     starts = [lo_med, hi_med, (lo + hi) // 2, np.full(k, n // 2), (lo_med + hi_med) // 2]
     memo: dict = {}
     for start in starts:
-        q0 = np.clip(start.astype(np.int64), 0, n)
-        q = _descend(runs, q0, n, signs, m, dirs, memo)
+        q = _descend(runs, tuple(min(n, max(0, int(v))) for v in start), n, signs, m, dirs, memo)
         if q is not None:
-            return tuple(int(v) for v in q)
+            return q
     return find_balanced_point(T, n, k)

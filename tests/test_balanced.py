@@ -26,6 +26,7 @@ from cubefix.balanced import (
     coverage_counts,
     find_balanced_point,
     is_balanced,
+    own_sign_counts,
     runs_of,
     select_query_point,
 )
@@ -207,19 +208,19 @@ def test_coverage_counts_on_shuffled_runs_matches_reference():
 
 
 def test_coverage_counts_on_a_stack_of_points_matches_each_point():
+    # own_sign_counts scores sign j at the j-th of 2**k points: entry j of coverage_counts there.
     rng = np.random.default_rng(15)
     for k in range(1, 5):
         signs = all_sign_vectors(k)
         for n in (12, 40_000):
             pts = rng.integers(0, n // 2 + 1, size=(300, k)) * 2
             runs = runs_of(grid_columns(list(pts.T), n))
-            qs = rng.integers(0, n + 1, size=(int(rng.integers(1, 20)), k))
-            got = coverage_counts(runs, qs, signs)
-            assert got.shape == (len(qs), 2 ** k)
-            for q, row in zip(qs, got):
-                one = coverage_counts(runs, q, signs)
-                assert one.shape == (2 ** k,) and row.tolist() == one.tolist()
-            assert coverage_counts(runs, qs[:1], signs).shape == (1, 2 ** k)
+            for _ in range(5):
+                qs = rng.integers(0, n + 1, size=(2 ** k, k))
+                got = own_sign_counts(runs, qs)
+                assert got.shape == (2 ** k,)
+                want = [int(coverage_counts(runs, q, signs)[j]) for j, q in enumerate(qs)]
+                assert got.tolist() == want
 
 
 def test_box_test_matches_the_row_kernel():
@@ -240,6 +241,100 @@ def test_box_test_matches_the_row_kernel():
         q = np.array(select_query_point(CandidateSet(cols, n), n, k))
         boxes = [(q, q), (np.maximum(q - 1, 0), q), (np.zeros(k, int), q)]
         for _ in range(30):
+            lo = rng.integers(0, n + 1, size=k)
+            hi = lo + rng.integers(0, n + 1 - lo)
+            boxes += [(lo, hi), (lo, lo)]
+        for lo, hi in boxes:
+            want = reference_box_feasible(cols, lo, hi)
+            assert box._box_feasible(lo, hi) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_coverage_counts_matches_reference_in_five_to_seven_dimensions():
+    # 2**(k - 1) prefix masks per point, against the one-pass-per-sign kernel; the
+    # selected points are balanced by it too (k = 7 descends along axes only).
+    rng = np.random.default_rng(17)
+    for k, n in [(5, 8), (6, 6), (7, 4)]:
+        grid = np.stack(CandidateSet.initial(n, k).cols, axis=1)
+        signs = all_sign_vectors(k)
+        for keep in (1.0, 0.3, 0.02):
+            pts = grid[rng.random(len(grid)) < keep]
+            cols = grid_columns(list(pts.T), n)
+            runs = runs_of(cols)
+            qs = [[0] * k, [n] * k] + [list(rng.integers(0, n + 1, size=k)) for _ in range(4)]
+            qs.append(list(select_query_point(pts, n, k)))
+            for q in qs:
+                want = reference_coverage_counts(cols, q, signs)
+                assert coverage_counts(runs, q, signs).tolist() == want.tolist()
+            assert np.all(2 * want >= len(pts))
+        few = grid[rng.choice(len(grid), size=6, replace=False)]
+        runs = runs_of(grid_columns(list(few.T), n))
+        for q in ([n // 2] * k, list(rng.integers(0, n + 1, size=k))):
+            want = [sum(covered_by_definition(tuple(x), q, tuple(s)) for x in few) for s in signs]
+            assert coverage_counts(runs, q, signs).tolist() == want
+
+
+def test_coverage_counts_at_the_int16_edge():
+    # n = 16381 is the largest int16 grid: the threshold q_k + P - lo + 2 reaches 2n + 2.
+    n = 16381
+    rng = np.random.default_rng(18)
+    for k in (1, 3, 4):
+        signs = all_sign_vectors(k)
+        pts = rng.integers(0, n // 2 + 1, size=(500, k)) * 2
+        pts[:2 ** k] = np.array(list(itertools.product((0, n - 1), repeat=k)))
+        cols = grid_columns(list(pts.T), n)
+        assert cols[0].dtype == np.int16
+        runs = runs_of(cols)
+        wide = [c.astype(np.int64) for c in cols]
+        qs = [[0] * k, [n] * k, [0] * (k - 1) + [n], [n] * (k - 1) + [0]]
+        qs += [list(rng.integers(0, n + 1, size=k)) for _ in range(6)]
+        for q in qs:
+            want = reference_coverage_counts(wide, q, signs)
+            assert coverage_counts(runs, q, signs).tolist() == want.tolist()
+        corners = rng.choice((0, n), size=(2 ** k, k))
+        want = [reference_coverage_counts(wide, c, signs)[j] for j, c in enumerate(corners)]
+        assert own_sign_counts(runs, corners).tolist() == want
+
+
+def test_coverage_counts_on_tied_prefixes():
+    # Runs whose prefix offsets from q tie at +-P on two or more coordinates, and runs
+    # with P = 0 (the prefix is q's own), each under a full x_k column.
+    n = 20
+    for k, q in [(3, (10, 10, 10)), (4, (10, 10, 10, 10)), (4, (10, 6, 14, 8)), (3, (9, 11, 10))]:
+        signs = all_sign_vectors(k)
+        offsets = [(-4, 0, 4) if c % 2 == 0 else (-1, 1) for c in q[:-1]]
+        prefixes = itertools.product(*[[c + o for o in offs] for c, offs in zip(q, offsets)])
+        pts = np.array([p + (x,) for p in prefixes for x in range(0, n + 1, 2)])
+        cols = grid_columns(list(pts.T), n)
+        runs = runs_of(cols)
+        d = np.abs(np.array(runs[:-2]).T - q[:-1])
+        P = d.max(axis=1)
+        ties = ((d == P[:, None]).sum(axis=1) >= 2) & (P > 0)
+        assert ties.any() and (P == 0).any() == (q[0] % 2 == 0)
+        for x in (q, q[:-1] + (0,), q[:-1] + (n,)):
+            want = reference_coverage_counts(cols, x, signs)
+            assert coverage_counts(runs, x, signs).tolist() == want.tolist()
+            corners = np.array([x] * 2 ** k)
+            assert own_sign_counts(runs, corners).tolist() == want.tolist()
+        few = pts[::17]
+        runs = runs_of(grid_columns(list(few.T), n))
+        want = [sum(covered_by_definition(tuple(x), q, tuple(s)) for x in few) for s in signs]
+        assert coverage_counts(runs, q, signs).tolist() == want
+
+
+def test_own_sign_box_test_at_five_dimensions():
+    rng = np.random.default_rng(19)
+    n, k = 8, 5
+    grid = np.stack(CandidateSet.initial(n, k).cols, axis=1)
+    verdicts = set()
+    for keep in (1.0, 0.5, 0.1, 0.01):
+        pts = grid[rng.random(len(grid)) < keep]
+        cols = grid_columns(list(pts.T), n)
+        box = _BranchBound(cols, n)
+        q = np.array(select_query_point(pts, n, k))
+        boxes = [(q, q), (np.maximum(q - 1, 0), q), (np.zeros(k, int), q)]
+        for _ in range(25):
             lo = rng.integers(0, n + 1, size=k)
             hi = lo + rng.integers(0, n + 1 - lo)
             boxes += [(lo, hi), (lo, lo)]
