@@ -17,12 +17,12 @@ or ``-P`` as an extremum of ``s * (x - q)``, so with ``s`` *reaching* ``P`` when
 
 So a run is counted against two thresholds, ``q_k -+ P``, whatever the sign:
 :func:`coverage_counts` adds, for each prefix sign, the runs it reaches, and
-:func:`own_sign_counts` scores each sign at a point of its own; every count in this
-module goes through one of them, as ``2 * count >= |T|`` in integers, with no floats.
-The searches read a set as ``k`` columns in the grid's dtype: a solver
-``CandidateSet`` lends its own as they are, and a plain point array is
-checked and narrowed once by :func:`~cubefix.geometry.grid_columns`.
-``is_balanced`` casts each column to int64 once, so its query point may lie anywhere.
+the box test's ``own_sign_counts`` scores each sign at a point of its own; every count in
+this module goes through one of them, as ``2 * count >= |T|`` in integers, with no floats.
+The searches read a set in the grid's dtype, as columns at k <= 2 and runs at k >= 3: a
+solver ``CandidateSet`` lends its own, and a plain point array is checked and narrowed once
+by :func:`~cubefix.geometry.grid_columns` (then split by :func:`runs_of`).  ``is_balanced``
+casts the runs to int64 once, so its query point may lie anywhere.
 
 Three search routines:
 
@@ -30,9 +30,9 @@ Three search routines:
   weak-median intervals for k <= 2 (coverage for full signs depends only on
   the diagonal projections ``x_1 + x_2`` and ``x_1 - x_2``); depth-first
   branch-and-bound with sound corner bounds for k >= 3, one ``own_sign_counts``
-  call per box.  Exponential worst case in higher dimension; on a 2-core Xeon VM,
-  EVEN(64, 3) after one elimination (15,616 points) takes 3,195 box tests in
-  0.25 s, and one box test on EVEN(256, 3) about 0.45 ms.
+  call per box, its per-set work done once per search.  Exponential worst case in
+  higher dimension; on a 2-core Xeon VM, EVEN(64, 3) after one elimination (15,616
+  points) takes 3,195 box tests in 0.25 s, and one box test on EVEN(256, 3) about 0.45 ms.
 * ``select_query_point``: what the solver calls.  Deterministic multi-start
   descent on the integer coverage deficit, with exact verification of the
   result and a fall back to the exact search if every start stalls.  A memo
@@ -70,15 +70,19 @@ def _point_columns(T) -> list[np.ndarray]:
     return T.cols if hasattr(T, "cols") else list(np.atleast_2d(np.asarray(T).T))
 
 
-def _grid_columns(T, n: int, k: int) -> list[np.ndarray]:
-    """Columns of ``T``, a non-empty all-even subset of ``[0, n]^k``, in ``grid_dtype(n)``: a
-    candidate set on that grid lends its own; other input goes through ``grid_columns``."""
-    cols = T.cols if getattr(T, "n", None) == n else grid_columns(_point_columns(T), n)
-    if len(cols) != k:
-        raise ValueError(f"points have dimension {len(cols)}, expected {k}")
-    if len(cols[0]) == 0:
+def _grid_set(T, n: int, k: int) -> tuple[list[np.ndarray], int]:
+    """``T``, a non-empty all-even subset of ``[0, n]^k``, as columns (k <= 2) or runs (k >= 3)
+    in ``grid_dtype(n)``, and its size: a set on that grid lends its own, others are checked."""
+    if getattr(T, "n", None) == n and T.k == k:
+        store, m = (T.cols if k <= 2 else T.runs), len(T)
+    else:
+        cols = grid_columns(_point_columns(T), n)
+        if len(cols) != k:
+            raise ValueError(f"points have dimension {len(cols)}, expected {k}")
+        store, m = (cols if k <= 2 else runs_of(cols)), len(cols[0])
+    if m == 0:
         raise ValueError("cannot search an empty candidate set")
-    return cols
+    return store, m
 
 
 def runs_of(cols: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -131,45 +135,29 @@ def coverage_counts(runs: Sequence[np.ndarray], q: Sequence, signs: np.ndarray) 
     return (extra + fixed).ravel()
 
 
-def own_sign_counts(runs: Sequence[np.ndarray], corners: np.ndarray) -> np.ndarray:
-    """Entry ``j`` of :func:`coverage_counts` at ``corners[j]``, for each of the ``2**k`` rows
-    of ``corners``: each sign scored at its own point, one threshold per run (the module
-    docstring's rule), every corner in one broadcast.  Same dtype bound as there.
-    """
-    k = len(runs) - 1
-    *pre, lo, lens = runs
-    s = all_sign_vectors(k).astype(lo.dtype)[:, :, None]
-    c = np.asarray(corners, dtype=lo.dtype)[:, :, None]
-    d = np.array(pre, dtype=lo.dtype).reshape(k - 1, len(lo)) - c[:, :-1]  # (2**k, k - 1, #runs)
-    t = np.abs(d).max(axis=1, initial=0)  # P, negated where s reaches it
-    np.negative(t, out=t, where=(s[:, :-1] * d).max(axis=1, initial=0) == t)
-    sk = s[:, -1]  # idx: the first x_k >= q_k + t (s_k = +1), one past the last <= q_k - t (-1)
-    idx = (sk * t + (c[:, -1] + (3 - sk) // 2) - lo) >> 1
-    np.maximum(idx, np.zeros_like(lens), out=idx)
-    np.minimum(idx, lens, out=idx)
-    return (sk[:, 0] > 0) * lens.sum() - sk[:, 0] * idx.sum(axis=1)  # len - idx or idx
-
-
 def is_balanced(q: Sequence[int], T) -> bool:
     """Exact balancedness test of ``q`` against ``T`` (a CandidateSet or point array).
 
-    Scores an int64 copy of each column, so ``q`` may lie anywhere.  An empty ``T`` makes
+    Scores an int64 copy of the set's runs, so ``q`` may lie anywhere.  An empty ``T`` makes
     every point vacuously balanced; a non-empty point array that is not of an
     integer dtype raises ``ValueError``.  Examples on the k = 1 set
     {0, 2, 4, 6, 8}: q = 4 is balanced, q = 0 is not (only one of five points
     lies in the downward pyramid); a singleton's own point is balanced.
     """
-    cols = _point_columns(T)
-    m = len(cols[0])
+    runs = getattr(T, "runs", None)
+    if runs is None:
+        cols = _point_columns(T)
+        if len(cols[0]) and cols[0].dtype.kind not in "iu":
+            raise ValueError("balancedness needs integer points")
+        runs = runs_of([c.astype(np.int64) for c in cols])
+    runs = [c.astype(np.int64) for c in runs]
+    m = int(runs[-1].sum())
     if m == 0:
         return True
-    if cols[0].dtype.kind not in "iu":
-        raise ValueError("balancedness needs integer points")
-    k = len(cols)
+    k = len(runs) - 1
     if len(q) != k:
         raise ValueError(f"query point has dimension {len(q)}, expected {k}")
-    cov = coverage_counts(runs_of([c.astype(np.int64) for c in cols]), q, all_sign_vectors(k))
-    return bool(np.all(2 * cov >= m))
+    return bool(np.all(2 * coverage_counts(runs, q, all_sign_vectors(k)) >= m))
 
 
 def _median_interval(vals: np.ndarray) -> tuple[int, int]:
@@ -197,20 +185,36 @@ class _BranchBound:
     taking ``lo_i`` where ``s_i > 0`` and ``hi_i`` otherwise (moving ``q``
     against ``s`` only grows every accumulated term), so a box where some
     sign's best corner still covers less than half of ``T`` contains no
-    balanced point.  A box test is one :func:`own_sign_counts` call on the
+    balanced point.  A box test is one :meth:`own_sign_counts` call on the
     set's runs, each sign at its own best corner.  Splitting the first unresolved
     coordinate, lower half first, visits surviving leaves in lexicographic order.
     """
 
-    def __init__(self, cols: Sequence[np.ndarray], n: int):
-        self.m = len(cols[0])
-        self.k = len(cols)
-        self.signs = all_sign_vectors(self.k)
-        self.n = n
-        self.runs = runs_of(cols)
+    def __init__(self, runs: Sequence[np.ndarray], n: int):
+        *pre, lo, self.lens = runs
+        self.k, self.n, self.m = len(runs) - 1, n, int(self.lens.sum())
+        s = all_sign_vectors(self.k).astype(lo.dtype)
+        self.best_lo, self.s_pre, self.sk = s > 0, s[:, :-1, None], s[:, -1:]
+        self.pre = np.array(pre, dtype=lo.dtype).reshape(self.k - 1, len(lo))
+        self.start = (3 - self.sk) // 2 - lo
+        self.zero, self.base = np.zeros_like(self.lens), np.where(self.sk[:, 0] > 0, self.m, 0)
+
+    def own_sign_counts(self, corners: np.ndarray) -> np.ndarray:
+        """Entry ``j`` of :func:`coverage_counts` at ``corners[j]``, for each of the ``2**k`` rows
+        of ``corners``: each sign at its own point, one threshold per run (the module docstring's
+        rule), every corner in one broadcast.  Same dtype bound as there."""
+        c = np.asarray(corners, dtype=self.pre.dtype)[:, :, None]
+        d = self.pre - c[:, :-1]  # (2**k, k - 1, #runs)
+        t = np.abs(d).max(axis=1, initial=0)  # P, negated where s reaches it
+        np.negative(t, out=t, where=(self.s_pre * d).max(axis=1, initial=0) == t)
+        # idx: the first x_k >= q_k + t (s_k = +1), one past the last <= q_k - t (-1)
+        idx = (self.sk * t + c[:, -1] + self.start) >> 1
+        np.maximum(idx, self.zero, out=idx)
+        np.minimum(idx, self.lens, out=idx)
+        return self.base - self.sk[:, 0] * idx.sum(axis=1)  # len - idx or idx
 
     def _box_feasible(self, lo: np.ndarray, hi: np.ndarray) -> bool:
-        cov = own_sign_counts(self.runs, np.where(self.signs > 0, lo, hi))
+        cov = self.own_sign_counts(np.where(self.best_lo, lo, hi))
         return 2 * int(cov.min()) >= self.m
 
     def search(self) -> GridPoint | None:
@@ -235,22 +239,22 @@ class _BranchBound:
 def find_balanced_point(T, n: int, k: int) -> GridPoint:
     """Lexicographically smallest balanced point of ``T`` in ``[0, n]^k``.
 
-    ``T`` must be a non-empty subset of the all-even grid.  k <= 2 is closed form;
-    k >= 3 is :class:`_BranchBound` on the runs of ``T``'s own columns.  A balanced
-    point always exists for such sets; if the search comes up empty that guarantee
-    is broken and :class:`InternalInvariantError` is raised.
+    ``T`` must be a non-empty subset of the all-even grid.  k <= 2 is closed form; k >= 3 is
+    :class:`_BranchBound` on ``T``'s runs.  A balanced point always exists for such sets; if
+    the search comes up empty that guarantee is broken and :class:`InternalInvariantError`
+    is raised.
     """
-    cols = _grid_columns(T, n, k)
+    store, m = _grid_set(T, n, k)
     if k == 1:  # the column is sorted: the lower weak median is an index
-        q = (int(cols[0][(len(cols[0]) + 1) // 2 - 1]),)
+        q = (int(store[0][(m + 1) // 2 - 1]),)
     elif k == 2:
-        q = _k2_point(*_median_interval(cols[0] + cols[1]),
-                      *_median_interval(cols[0] - cols[1]), n)
+        q = _k2_point(*_median_interval(store[0] + store[1]),
+                      *_median_interval(store[0] - store[1]), n)
     else:
-        q = _BranchBound(cols, n).search()
+        q = _BranchBound(store, n).search()
     if q is None:
         raise InternalInvariantError(
-            f"no balanced point exists for a {len(cols[0])}-point even set in [0, {n}]^{k}")
+            f"no balanced point exists for a {m}-point even set in [0, {n}]^{k}")
     return q
 
 
@@ -271,7 +275,7 @@ def _descend(runs, q: tuple[int, ...], n: int, signs: np.ndarray, m: int,
     moves are int tuples) to its ``(deficit, coverage)``, so a point is scored once
     per select, however often the walk returns to it (mostly by reversing the last
     accepted move); a memo hit still counts as an evaluation against ``_DESCENT_BUDGET``.
-    Scores ``runs``, the set's :func:`runs_of`; returns a balanced point or None on a stall.
+    Scores ``runs``, the set's own; returns a balanced point or None on a stall.
     """
     def score(p: tuple[int, ...]) -> tuple[int, np.ndarray]:
         if p not in memo:
@@ -323,17 +327,15 @@ def select_query_point(T, n: int, k: int) -> GridPoint:
     k <= 2 uses the closed-form lexicographic minimum.  k >= 3 runs the
     deficit descent from five deterministic starts (low/high weak medians,
     bounding-box middle, grid centre, median midpoint) and falls back to the
-    exact branch-and-bound if all stall.  The starts come from one :func:`runs_of`
-    of the set and share one memo of scored points.  The result is always exactly
+    exact branch-and-bound if all stall.  The starts come from the set's own runs
+    and share one memo of scored points.  The result is always exactly
     balanced; only which balanced point gets returned varies by path.
     """
     if k <= 2:
         return find_balanced_point(T, n, k)
-    cols = _grid_columns(T, n, k)
-    m = len(cols[0])
+    runs, m = _grid_set(T, n, k)
     signs = all_sign_vectors(k)
     dirs = _unit_directions(k)
-    runs = runs_of(cols)
     lo_med, hi_med, lo, hi = _order_statistics(runs, m)
     starts = [lo_med, hi_med, (lo + hi) // 2, np.full(k, n // 2), (lo_med + hi_med) // 2]
     memo: dict = {}

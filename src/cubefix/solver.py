@@ -1,14 +1,14 @@
 """The elimination solver: polynomially many queries to an eps-fixed point.
 
-Driving loop on the blown-up grid ``[0, n]^k``: keep a candidate set ``Cand``
-of all-even points, query a balanced point ``a`` of ``Cand``, and either stop
-(residual at most ``16 / gamma``) or eliminate using the answer's sign vector
-``s``: survivors are the candidates in the pyramid union with apex ``a + 2s``.
-Balancedness makes every elimination remove at least half of the candidates
-(the sign vector's union and its complementary union each cover at least half,
-and the kept side is the complement of an escaped pyramid), so the loop makes
-at most ``ceil(log2 |EVEN(n, k)|) + 1`` queries.  Two invariants are enforced
-on every round of every run:
+Driving loop on the blown-up grid ``[0, n]^k``: keep a candidate set ``Cand`` of all-even
+points (columns at k <= 2, runs of ``x_k`` at k >= 3), query a balanced point ``a`` of
+``Cand``, and either stop (residual at most ``16 / gamma``) or eliminate using the answer's
+sign vector ``s``: survivors are the candidates in the pyramid union with apex ``a + 2s``.
+Balancedness makes every elimination remove at least half of the candidates (the sign
+vector's union and its complementary union each cover at least half, and the kept side is
+the complement of an escaped pyramid), so the loop makes at most
+``ceil(log2 |EVEN(n, k)|) + 1`` queries.  Two invariants are enforced on every round of
+every run:
 
 * halving: ``2 * |Cand_t| <= |Cand_{t-1}|``;
 * (in tests, via ``on_round``) containment: the even points around the true
@@ -32,9 +32,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .balanced import select_query_point
+from .balanced import runs_of, select_query_point
 from .errors import InstanceTooLargeError, InternalInvariantError
-from .geometry import (GridPoint, SignVector, even_count, even_grid, grid_columns,
+from .geometry import (GridPoint, SignVector, even_count, even_grid, grid_columns, grid_dtype,
                        linf_dist, sign_vector)
 from .oracles import ContractionOracle, GridView, strong_to_weak
 
@@ -51,29 +51,31 @@ OUTCOME_VIOLATION = "violation-found"
 OUTCOME_FAILURE = "failure"
 
 
-@dataclass(eq=False)  # sets compare by identity: columns are arrays
 class CandidateSet:
-    """All-even candidate points of ``[0, n]^k`` as ``k`` contiguous columns in ``grid_dtype(n)``.
+    """All-even candidate points of ``[0, n]^k`` in ``grid_dtype(n)``, rows in lexicographic order.
 
-    Row ``j`` is entry ``j`` of every column, in lexicographic order (``x_1`` first).
-    ``CandidateSet(cols, n)`` checks and sorts outside points once, through ``grid_columns``;
-    the even grid and elimination survivors keep the order and skip the check.  Columns are
-    read-only: a k = 1 survivor is a slice of its parent's column, and k = 1 grids of one ``n``
-    share one column (``even_grid``), so sets may share memory.
-    Elimination and selection read the columns as they are; ``points`` builds int64 rows.
+    A k <= 2 set is ``k`` columns (``cols``), which its closed forms read.  A k >= 3 set is its
+    ``runs`` (:func:`~cubefix.balanced.runs_of`'s ``[x_1 .. x_{k-1}, lo, len]``): selection
+    scores runs and elimination cuts each run to one interval, so rows would only be built to
+    be split again.  ``CandidateSet(cols, n)`` checks and sorts outside points once, through
+    ``grid_columns``; the solver's own sets skip the check.  Columns are read-only: a k = 1
+    survivor is a slice of its parent's column, and k = 1 grids of one ``n`` share one column
+    (``even_grid``), so sets may share memory.  ``points``, and ``cols`` at k >= 3, build rows.
     """
 
-    cols: list[np.ndarray]
-    n: int
-
-    def __post_init__(self) -> None:
-        self.cols = grid_columns(self.cols, self.n)
+    def __init__(self, cols: Sequence[Sequence[int]], n: int):
+        cols = grid_columns(cols, n)
+        k3 = len(cols) >= 3
+        self.n, self._cols, self.runs = n, None if k3 else cols, runs_of(cols) if k3 else None
+        self.k, self._m = len(cols), len(cols[0])
 
     @classmethod
-    def _built(cls, cols: list[np.ndarray], n: int) -> "CandidateSet":
-        """A set of contiguous ``grid_dtype(n)`` columns the solver built itself: no check."""
+    def _built(cls, n: int, cols=None, runs=None) -> "CandidateSet":
+        """Columns or runs in ``grid_dtype(n)`` that the solver built itself: no check."""
         T = cls.__new__(cls)
-        T.cols, T.n = cols, n
+        T.n, T._cols, T.runs = n, cols, runs
+        T.k = len(cols) if runs is None else len(runs) - 1
+        T._m = len(cols[0]) if runs is None else int(runs[-1].sum())
         return T
 
     @classmethod
@@ -81,35 +83,46 @@ class CandidateSet:
         count = even_count(n, k)
         if count > cap:
             raise InstanceTooLargeError(count, cap)
-        return cls._built(even_grid(n, k), n)
+        if k <= 2:
+            return cls._built(n, cols=even_grid(n, k))
+        pre = even_grid(n, k - 1)  # one run x_k = 0, 2, .., n per prefix
+        return cls._built(n, runs=pre + list(np.full((2, len(pre[0])), [[0], [n // 2 + 1]],
+                                                     grid_dtype(n))))
+
+    @property
+    def cols(self) -> list[np.ndarray]:
+        """The ``k`` columns; a k >= 3 set expands its runs on each access."""
+        if self.runs is None:
+            return self._cols
+        *pre, lo, lens = self.runs
+        step = np.arange(self._m) - np.repeat(np.cumsum(lens) - lens, lens)
+        return [np.repeat(c, lens) for c in pre] + [np.repeat(lo, lens) + 2 * step.astype(lo.dtype)]
 
     @property
     def points(self) -> np.ndarray:
         """The candidates as ``(m, k)`` int64 rows, built on each access."""
         return np.stack(self.cols, axis=1).astype(np.int64)
 
-    @property
-    def k(self) -> int:
-        return len(self.cols)
-
     def __len__(self) -> int:
-        return len(self.cols[0])
+        return self._m
 
     def contains_points(self, pts: Sequence[Sequence[int]]) -> np.ndarray:
-        """Membership mask for an ``(m, k)`` integer array of points (any other shape raises
-        ``ValueError``): rows matching a point's first ``i`` coordinates are sorted on column
-        ``i``; two searches narrow them per ``i``."""
+        """Membership mask for an ``(m, k)`` integer array of points (other shapes raise
+        ``ValueError``): two searches per ``i < k`` narrow the runs (rows are runs of one) to the
+        point's prefix; ``x_k`` is tested by arithmetic on the last one starting at or below it."""
         pts = np.asarray(pts, dtype=np.int64)
         if pts.ndim != 2 or pts.shape[1] != self.k:
             raise ValueError(f"points must form an (m, {self.k}) array, got shape {pts.shape}")
+        *pre, last, lens = self.runs or self.cols + [np.ones(self._m, dtype=np.int64)]
         out = np.zeros(len(pts), dtype=bool)
         for j, p in enumerate(pts.tolist()):
             if all(0 <= v <= self.n for v in p):
-                lo, hi = 0, len(self)
-                for c, v in zip(self.cols, p):
+                lo, hi = 0, len(last)
+                for c, v in zip(pre, p):
                     seg, v = c[lo:hi], c.dtype.type(v)
                     lo, hi = lo + seg.searchsorted(v, "left"), lo + seg.searchsorted(v, "right")
-                out[j] = hi > lo
+                i = lo + last[lo:hi].searchsorted(last.dtype.type(p[-1]), "right") - 1
+                out[j] = i >= lo and (p[-1] - last[i]) % 2 == 0 and p[-1] < last[i] + 2 * lens[i]
         return out
 
 
@@ -187,13 +200,17 @@ def query_bound(n: int, k: int) -> int:
 def eliminate(T: CandidateSet, a: GridPoint, s: SignVector) -> CandidateSet:
     """Candidates surviving the answer-sign elimination at query point ``a``.
 
-    Keeps the points of ``T`` lying in the pyramid union with apex
-    ``b = a + 2s`` (in ``[-2, n + 2]^k``) over the coordinates where ``s`` is
-    nonzero, column by column in the set's dtype: ``d_i = x_i - b_i``, their
-    running ``max |d_i|``, then one mask compresses every column.  At k = 1 a
-    search on the sorted column slices ``x >= b`` or ``x <= b`` as a view.  Example:
-    on EVEN(8, 1) with a = 4, s = (+1,), the survivors are {6, 8}.  An
-    all-zero ``s`` eliminates nothing and is a usage error.
+    Keeps the points of ``T`` in the pyramid union with apex ``b = a + 2s`` (in
+    ``[-2, n + 2]^k``) over the coordinates where ``s`` is nonzero, in the set's dtype.  k = 1
+    slices the sorted column at ``b``; k = 2 masks the rows whose largest ``|x_i - b_i|`` is some
+    ``s_i (x_i - b_i)``.  k >= 3 cuts each run to one interval: with ``D = x_k - b_k``,
+    ``P = max_{i<k} |x_i - b_i|`` and the run *good* when some ``i < k`` with ``s_i != 0`` has
+    ``s_i (x_i - b_i) = P``, it keeps ``s_k D >= -P`` if good, else ``s_k D >= P``, and at
+    ``s_k = 0`` ``|D| <= P`` if good, else nothing; emptied runs go.  Examples: on EVEN(8, 1),
+    a = 4 and s = (+1,) keep {6, 8}.  On EVEN(8, 3), a = (4, 4, 4) and s = (+1, 0, -1) give
+    b = (6, 4, 2); prefix (8, 4) has P = 2 = s_1 (8 - 6), is good and keeps x_3 - 2 <= 2:
+    {0, 2, 4}; prefix (8, 0) has P = 4 from x_2 alone (s_2 = 0), would need x_3 - 2 <= -4 and
+    is dropped.  An all-zero ``s`` eliminates nothing and is a usage error.
     """
     s = tuple(int(v) for v in s)
     if len(s) != T.k or not any(s) or not set(s) <= {-1, 0, 1}:
@@ -204,16 +221,27 @@ def eliminate(T: CandidateSet, a: GridPoint, s: SignVector) -> CandidateSet:
     if T.k == 1:  # a Python int apex would cast the whole column to int64 first
         c = T.cols[0]
         i = c.searchsorted(c.dtype.type(b[0]), "left" if s[0] > 0 else "right")
-        return CandidateSet._built([c[i:] if s[0] > 0 else c[:i]], T.n)
-    d = [c - bi for c, bi in zip(T.cols, b)]
+        return CandidateSet._built(T.n, cols=[c[i:] if s[0] > 0 else c[:i]])
+    cols = T.cols if T.runs is None else T.runs[:-2]
+    d = [c - bi for c, bi in zip(cols, b)]
     md = np.abs(d[0])
     for di in d[1:]:
         np.maximum(md, np.abs(di), out=md)
-    keep = np.zeros(len(T), dtype=bool)
+    keep = np.zeros(len(md), dtype=bool)  # at k >= 3: the good runs
     for di, si in zip(d, s):
         if si != 0:
             keep |= di == (md if si > 0 else -md)
-    return CandidateSet._built([c[keep] for c in T.cols], T.n)
+    if T.runs is None:
+        return CandidateSet._built(T.n, cols=[c[keep] for c in cols])
+    lo, lens = T.runs[-2:]
+    t = np.where(keep, -md, md)  # keep s_k D >= t, both ways when s_k = 0
+    first, end = np.zeros_like(lens), lens  # the kept steps of each run: [first, end)
+    if s[-1] >= 0:  # x_k >= b_k + t
+        first = np.clip((b[-1] + t - lo + 1) >> 1, 0, lens)
+    if s[-1] <= 0:  # x_k <= b_k - t
+        end = np.clip(((b[-1] - t - lo) >> 1) + 1, 0, lens)
+    run = end > first
+    return CandidateSet._built(T.n, runs=[c[run] for c in (*cols, lo + 2 * first, end - first)])
 
 
 def _oracle_grid_side(g: ContractionOracle | GridView) -> int:

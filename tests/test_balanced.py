@@ -26,7 +26,6 @@ from cubefix.balanced import (
     coverage_counts,
     find_balanced_point,
     is_balanced,
-    own_sign_counts,
     runs_of,
     select_query_point,
 )
@@ -208,7 +207,7 @@ def test_coverage_counts_on_shuffled_runs_matches_reference():
 
 
 def test_coverage_counts_on_a_stack_of_points_matches_each_point():
-    # own_sign_counts scores sign j at the j-th of 2**k points: entry j of coverage_counts there.
+    # The box test scores sign j at the j-th of 2**k points: entry j of coverage_counts there.
     rng = np.random.default_rng(15)
     for k in range(1, 5):
         signs = all_sign_vectors(k)
@@ -217,7 +216,7 @@ def test_coverage_counts_on_a_stack_of_points_matches_each_point():
             runs = runs_of(grid_columns(list(pts.T), n))
             for _ in range(5):
                 qs = rng.integers(0, n + 1, size=(2 ** k, k))
-                got = own_sign_counts(runs, qs)
+                got = _BranchBound(runs, n).own_sign_counts(qs)
                 assert got.shape == (2 ** k,)
                 want = [int(coverage_counts(runs, q, signs)[j]) for j, q in enumerate(qs)]
                 assert got.tolist() == want
@@ -237,7 +236,7 @@ def test_box_test_matches_the_row_kernel():
     verdicts = set()
     for cols, n in sets:
         k = len(cols)
-        box = _BranchBound(cols, n)
+        box = _BranchBound(runs_of(cols), n)
         q = np.array(select_query_point(CandidateSet(cols, n), n, k))
         boxes = [(q, q), (np.maximum(q - 1, 0), q), (np.zeros(k, int), q)]
         for _ in range(30):
@@ -294,7 +293,7 @@ def test_coverage_counts_at_the_int16_edge():
             assert coverage_counts(runs, q, signs).tolist() == want.tolist()
         corners = rng.choice((0, n), size=(2 ** k, k))
         want = [reference_coverage_counts(wide, c, signs)[j] for j, c in enumerate(corners)]
-        assert own_sign_counts(runs, corners).tolist() == want
+        assert _BranchBound(runs, n).own_sign_counts(corners).tolist() == want
 
 
 def test_coverage_counts_on_tied_prefixes():
@@ -316,7 +315,7 @@ def test_coverage_counts_on_tied_prefixes():
             want = reference_coverage_counts(cols, x, signs)
             assert coverage_counts(runs, x, signs).tolist() == want.tolist()
             corners = np.array([x] * 2 ** k)
-            assert own_sign_counts(runs, corners).tolist() == want.tolist()
+            assert _BranchBound(runs, n).own_sign_counts(corners).tolist() == want.tolist()
         few = pts[::17]
         runs = runs_of(grid_columns(list(few.T), n))
         want = [sum(covered_by_definition(tuple(x), q, tuple(s)) for x in few) for s in signs]
@@ -331,7 +330,7 @@ def test_own_sign_box_test_at_five_dimensions():
     for keep in (1.0, 0.5, 0.1, 0.01):
         pts = grid[rng.random(len(grid)) < keep]
         cols = grid_columns(list(pts.T), n)
-        box = _BranchBound(cols, n)
+        box = _BranchBound(runs_of(cols), n)
         q = np.array(select_query_point(pts, n, k))
         boxes = [(q, q), (np.maximum(q - 1, 0), q), (np.zeros(k, int), q)]
         for _ in range(25):

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from cubefix.balanced import select_query_point
+import cubefix.balanced
+import cubefix.solver
+from cubefix.balanced import runs_of, select_query_point
 from cubefix.errors import InstanceTooLargeError
 from cubefix.geometry import (
     around_contains,
     even_grid,
     even_points_near,
+    grid_dtype,
     linf_dist,
 )
 from cubefix.oracles import (
@@ -183,6 +186,81 @@ def test_eliminate_half_diamond_shape():
     assert got == expected
     assert (8, 4) in got and (4, 4) in got
     assert (0, 4) not in got and (4, 8) not in got
+
+
+def eliminate_rows(pts, b, s):
+    """Row-mask reference: keep the rows whose largest ``|x_i - b_i|`` is ``s_i (x_i - b_i)``
+    for some ``s_i != 0``, with the apex ``b`` given directly."""
+    d = pts - np.asarray(b, dtype=np.int64)
+    md = np.abs(d).max(axis=1)
+    keep = np.zeros(len(pts), dtype=bool)
+    for i, si in enumerate(s):
+        if si != 0:
+            keep |= si * d[:, i] == md
+    return pts[keep]
+
+
+def test_run_cut_equals_the_row_rule():
+    # k >= 3 sets are runs, and elimination cuts each run to one interval of x_k.  Against the
+    # row mask: full grids, solver survivors, and thinned outside sets with several runs per
+    # prefix; signs with zeros; apexes on the [-2, n + 2] border, at a prefix of the set
+    # (P = 0) and at equal distance from it on every prefix coordinate (tied maxima).
+    rng = np.random.default_rng(22)
+    seen = {"several runs": 0, "P = 0": 0, "ties": 0, "border": 0, "s_k = 0": 0, "empty": 0}
+    for k, n in [(3, 40), (3, 10), (4, 16), (5, 8)]:
+        grid = CandidateSet.initial(n, k)
+        sets = [grid, eliminate(grid, select_query_point(grid, n, k), (1,) + (0,) * (k - 1))]
+        for keep in (0.7, 0.3, 0.05):
+            pts = grid.points[rng.random(len(grid)) < keep]
+            sets.append(CandidateSet(list(pts.T), n))
+        for T in sets:
+            pts = T.points
+            prefixes = np.unique(np.stack(T.runs[:-2], axis=1), axis=0)
+            seen["several runs"] += len(prefixes) < len(T.runs[0])
+            for trial in range(40):
+                s = tuple(int(v) for v in rng.choice((-1, 0, 1), size=k))
+                if not any(s):
+                    continue
+                b = rng.integers(-2, n + 3, size=k)
+                x = pts[rng.integers(len(pts))]
+                if trial % 4 == 1:  # the apex prefix is a prefix of the set
+                    b[:-1] = x[:-1]
+                elif trial % 4 == 2:  # every prefix offset of x has the same size
+                    b[:-1] = np.clip(x[:-1] + rng.choice((-1, 1), size=k - 1) * rng.integers(1, 4),
+                                     -2, n + 2)
+                elif trial % 4 == 3:
+                    b[rng.integers(k)] = rng.choice((-2, n + 2))
+                d = np.abs(pts[:, :-1] - b[:-1])
+                P = d.max(axis=1)
+                seen["P = 0"] += bool((P == 0).any())
+                seen["ties"] += bool((((d == P[:, None]).sum(axis=1) >= 2) & (P > 0)).any())
+                seen["border"] += bool(((b == -2) | (b == n + 2)).any())
+                seen["s_k = 0"] += s[-1] == 0
+                a = tuple(int(v) for v in b - 2 * np.array(s))
+                got = eliminate(T, a, s)
+                want = eliminate_rows(pts, b, s)
+                seen["empty"] += len(want) == 0
+                assert np.array_equal(got.points, want.reshape(-1, k)), (k, n, a, s)
+                assert len(got) == len(want)
+                expected = runs_of([c.astype(grid_dtype(n)) for c in want.T.reshape(k, -1)])
+                assert [(c.dtype, c.tolist()) for c in got.runs] == \
+                    [(c.dtype, c.tolist()) for c in expected]
+    assert all(seen.values()), seen
+
+
+def test_k3_solve_builds_no_rows(monkeypatch):
+    # Selection and elimination read a k >= 3 set's runs: splitting rows into runs, or
+    # expanding runs into rows, anywhere in a solve is an error.
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a k >= 3 solve built rows")
+
+    monkeypatch.setattr(cubefix.balanced, "runs_of", refuse)
+    monkeypatch.setattr(cubefix.solver, "runs_of", refuse, raising=False)
+    monkeypatch.setattr(CandidateSet, "cols", property(refuse))
+    monkeypatch.setattr(CandidateSet, "points", property(refuse))
+    res = solve(grid_mirror((30.0, 170.0, 60.0), 1.0, 200), 1.0)
+    assert res.outcome == "fixed-point-found"
+    assert res.queries >= 3
 
 
 def test_eliminate_rejects_zero_and_bad_signs():

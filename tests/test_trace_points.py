@@ -4,8 +4,9 @@
 ``even_grid`` and ``select_query_point``, ``CandidateSet.initial``, ...).  A
 renamed or bypassed function makes its span record nothing, which otherwise
 only a ``--trace 1`` benchmark run notices.  Three small solves here must fire
-every span the benchmark expects on any workload, and leave every patched
-attribute as it was.
+every span the benchmark expects on any workload, the k = 3 solve alone every
+span of ``k3-descent`` (so the other solves cannot hide a k = 3 path that stopped
+calling a traced function), and leave every patched attribute as it was.
 """
 
 import sys
@@ -34,13 +35,17 @@ def test_every_expected_span_fires_and_patches_are_restored():
         cubefix.solver.solve_unit_cube(f1, 0.25, 0.25, on_round=tracer.on_round)
         # A constant map far from the cube's centre: the first query is not fixed.
         f3 = make_affine(np.zeros((3, 3)), [0.05, 0.9, 0.1], 1.0)
+        start = len(tracer.spans)
         res = cubefix.solver.solve_unit_cube(f3, 0.25, 1.0, on_round=tracer.on_round)
         assert len(res.rounds) >= 2
+        fired_k3 = {span[0] for span in tracer.spans[start:]}
         _, ft = make_instance("affine", 2, 0.5, 0.5, seed=2)
         cubefix.total.solve_total(ft, 0.5, 0.5)
     fired = {span[0] for span in tracer.spans}
     expected = set().union(*harness.EXPECTED_SPANS.values())
     assert expected <= fired, sorted(expected - fired)
+    expected_k3 = set(harness.EXPECTED_SPANS["k3-descent"])
+    assert expected_k3 <= fired_k3, sorted(expected_k3 - fired_k3)
     for owner, saved in zip(PATCHED, before):
         now = vars(owner)
         assert now.keys() == saved.keys()
