@@ -19,12 +19,12 @@ So a run is counted against two thresholds, ``q_k -+ P``, whatever the sign:
 :func:`coverage_counts` adds, for each prefix sign, the runs it reaches, and
 the box test's ``own_sign_counts`` scores each sign at a point of its own; every count in
 this module goes through one of them, as ``2 * count >= |T|`` in integers, with no floats.
-The searches read a set in the grid's dtype, as columns at k <= 2 and runs at k >= 3: a
-solver ``CandidateSet`` lends its own, and a plain point array is checked and narrowed once
-by :func:`~cubefix.geometry.grid_columns` (then split by :func:`runs_of`).  ``is_balanced``
-casts the runs to int64 once, so its query point may lie anywhere.
+The three routines below take a :class:`~cubefix.solver.CandidateSet` ``T`` and nothing else:
+they read its own ``n``, ``k`` and store in the grid's dtype, columns at k <= 2 and runs at
+k >= 3.  Points from outside enter through ``CandidateSet(cols, n)``, the one intake check.
+``is_balanced`` casts the runs to int64 once, so its integer query point may lie anywhere.
 
-Three search routines:
+Three routines:
 
 * ``find_balanced_point``: the exact lexicographic minimum.  Closed form via
   weak-median intervals for k <= 2 (coverage for full signs depends only on
@@ -47,12 +47,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import InternalInvariantError
-from .geometry import GridPoint, grid_columns
+from .geometry import GridPoint, integer_array
+
+if TYPE_CHECKING:
+    from .solver import CandidateSet
 
 _DESCENT_BUDGET = 10_000
 
@@ -63,26 +66,6 @@ def all_sign_vectors(k: int) -> np.ndarray:
     table = np.array(list(product((-1, 1), repeat=k)), dtype=np.int64)
     table.flags.writeable = False
     return table
-
-
-def _point_columns(T) -> list[np.ndarray]:
-    """A set's own columns, or a point array's in its own dtype (1-d input is k = 1)."""
-    return T.cols if hasattr(T, "cols") else list(np.atleast_2d(np.asarray(T).T))
-
-
-def _grid_set(T, n: int, k: int) -> tuple[list[np.ndarray], int]:
-    """``T``, a non-empty all-even subset of ``[0, n]^k``, as columns (k <= 2) or runs (k >= 3)
-    in ``grid_dtype(n)``, and its size: a set on that grid lends its own, others are checked."""
-    if getattr(T, "n", None) == n and T.k == k:
-        store, m = (T.cols if k <= 2 else T.runs), len(T)
-    else:
-        cols = grid_columns(_point_columns(T), n)
-        if len(cols) != k:
-            raise ValueError(f"points have dimension {len(cols)}, expected {k}")
-        store, m = (cols if k <= 2 else runs_of(cols)), len(cols[0])
-    if m == 0:
-        raise ValueError("cannot search an empty candidate set")
-    return store, m
 
 
 def runs_of(cols: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -135,29 +118,22 @@ def coverage_counts(runs: Sequence[np.ndarray], q: Sequence, signs: np.ndarray) 
     return (extra + fixed).ravel()
 
 
-def is_balanced(q: Sequence[int], T) -> bool:
-    """Exact balancedness test of ``q`` against ``T`` (a CandidateSet or point array).
+def is_balanced(q: Sequence[int], T: CandidateSet) -> bool:
+    """Exact balancedness test of the integer point ``q`` against ``T``.
 
     Scores an int64 copy of the set's runs, so ``q`` may lie anywhere.  An empty ``T`` makes
-    every point vacuously balanced; a non-empty point array that is not of an
-    integer dtype raises ``ValueError``.  Examples on the k = 1 set
-    {0, 2, 4, 6, 8}: q = 4 is balanced, q = 0 is not (only one of five points
-    lies in the downward pyramid); a singleton's own point is balanced.
+    every point vacuously balanced; a ``q`` that is not of an integer dtype raises
+    ``ValueError``.  Examples on the k = 1 set {0, 2, 4, 6, 8}: q = 4 is balanced, q = 0 is
+    not (only one of five points lies in the downward pyramid); a singleton's own point is
+    balanced.
     """
-    runs = getattr(T, "runs", None)
-    if runs is None:
-        cols = _point_columns(T)
-        if len(cols[0]) and cols[0].dtype.kind not in "iu":
-            raise ValueError("balancedness needs integer points")
-        runs = runs_of([c.astype(np.int64) for c in cols])
-    runs = [c.astype(np.int64) for c in runs]
-    m = int(runs[-1].sum())
-    if m == 0:
+    q = integer_array(q, "query point")
+    if len(T) == 0:
         return True
-    k = len(runs) - 1
-    if len(q) != k:
-        raise ValueError(f"query point has dimension {len(q)}, expected {k}")
-    return bool(np.all(2 * coverage_counts(runs, q, all_sign_vectors(k)) >= m))
+    if q.shape != (T.k,):
+        raise ValueError(f"query point has shape {q.shape}, expected ({T.k},)")
+    runs = [c.astype(np.int64) for c in (T.runs if T.k >= 3 else runs_of(T.cols))]
+    return bool(np.all(2 * coverage_counts(runs, q, all_sign_vectors(T.k)) >= len(T)))
 
 
 def _median_interval(vals: np.ndarray) -> tuple[int, int]:
@@ -236,22 +212,24 @@ class _BranchBound:
         return None
 
 
-def find_balanced_point(T, n: int, k: int) -> GridPoint:
-    """Lexicographically smallest balanced point of ``T`` in ``[0, n]^k``.
+def find_balanced_point(T: CandidateSet) -> GridPoint:
+    """Lexicographically smallest balanced point of ``T`` in ``[0, T.n]^T.k``.
 
-    ``T`` must be a non-empty subset of the all-even grid.  k <= 2 is closed form; k >= 3 is
-    :class:`_BranchBound` on ``T``'s runs.  A balanced point always exists for such sets; if
+    ``T`` must be non-empty.  k <= 2 is closed form on ``T.cols``; k >= 3 is
+    :class:`_BranchBound` on ``T.runs``.  A balanced point always exists for such sets; if
     the search comes up empty that guarantee is broken and :class:`InternalInvariantError`
     is raised.
     """
-    store, m = _grid_set(T, n, k)
+    n, k, m = T.n, T.k, len(T)
+    if m == 0:
+        raise ValueError("cannot search an empty candidate set")
     if k == 1:  # the column is sorted: the lower weak median is an index
-        q = (int(store[0][(m + 1) // 2 - 1]),)
+        q = (int(T.cols[0][(m + 1) // 2 - 1]),)
     elif k == 2:
-        q = _k2_point(*_median_interval(store[0] + store[1]),
-                      *_median_interval(store[0] - store[1]), n)
+        x1, x2 = T.cols
+        q = _k2_point(*_median_interval(x1 + x2), *_median_interval(x1 - x2), n)
     else:
-        q = _BranchBound(store, n).search()
+        q = _BranchBound(T.runs, n).search()
     if q is None:
         raise InternalInvariantError(
             f"no balanced point exists for a {m}-point even set in [0, {n}]^{k}")
@@ -321,21 +299,20 @@ def _order_statistics(runs: Sequence[np.ndarray], m: int) -> np.ndarray:
     return 2 * np.array([np.cumsum(w).searchsorted(ranks, "right") for w in counts]).T
 
 
-def select_query_point(T, n: int, k: int) -> GridPoint:
+def select_query_point(T: CandidateSet) -> GridPoint:
     """A balanced point of ``T``, chosen deterministically and verified exactly.
 
-    k <= 2 uses the closed-form lexicographic minimum.  k >= 3 runs the
-    deficit descent from five deterministic starts (low/high weak medians,
-    bounding-box middle, grid centre, median midpoint) and falls back to the
-    exact branch-and-bound if all stall.  The starts come from the set's own runs
-    and share one memo of scored points.  The result is always exactly
-    balanced; only which balanced point gets returned varies by path.
+    k <= 2 (and an empty ``T``, which raises) goes to :func:`find_balanced_point`.  k >= 3
+    runs the deficit descent on ``T.runs`` from five deterministic starts (low/high weak
+    medians, bounding-box middle, grid centre, median midpoint) and falls back to the exact
+    branch-and-bound if all stall.  The starts come from the set's own runs and share one
+    memo of scored points.  The result is always exactly balanced; only which balanced
+    point gets returned varies by path.
     """
-    if k <= 2:
-        return find_balanced_point(T, n, k)
-    runs, m = _grid_set(T, n, k)
-    signs = all_sign_vectors(k)
-    dirs = _unit_directions(k)
+    n, k, m = T.n, T.k, len(T)
+    if k <= 2 or m == 0:
+        return find_balanced_point(T)
+    runs, signs, dirs = T.runs, all_sign_vectors(k), _unit_directions(k)
     lo_med, hi_med, lo, hi = _order_statistics(runs, m)
     starts = [lo_med, hi_med, (lo + hi) // 2, np.full(k, n // 2), (lo_med + hi_med) // 2]
     memo: dict = {}
@@ -343,4 +320,4 @@ def select_query_point(T, n: int, k: int) -> GridPoint:
         q = _descend(runs, tuple(min(n, max(0, int(v))) for v in start), n, signs, m, dirs, memo)
         if q is not None:
             return q
-    return find_balanced_point(T, n, k)
+    return find_balanced_point(T)

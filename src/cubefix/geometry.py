@@ -81,6 +81,15 @@ def grid_columns(cols: Sequence[Sequence[int]], n: int) -> list[np.ndarray]:
     return cols
 
 
+def integer_array(x, what: str) -> np.ndarray:
+    """``x`` as an array, or ``ValueError`` unless its dtype is an integer one: a float point
+    would otherwise be truncated towards zero where it meets the integer grid."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got dtype {x.dtype}")
+    return x
+
+
 def even_grid(n: int, k: int) -> list[np.ndarray]:
     """All of EVEN(n, k) as ``k`` read-only columns in :func:`grid_dtype`, rows in lex order.
 

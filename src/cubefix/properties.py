@@ -206,7 +206,7 @@ def balanced_point_suite(trials: int, rng: np.random.Generator) -> dict:
             keep[rng.integers(0, len(full[0]))] = True
         T = CandidateSet([c[keep] for c in full], n)
         for finder in (find_balanced_point, select_query_point):
-            q = finder(T, n, k)
+            q = finder(T)
             ok = (all(0 <= v <= n for v in q) and is_balanced(q, T)
                   and _balanced_literal(q, T.points, k))
             if not ok:

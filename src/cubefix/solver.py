@@ -35,7 +35,7 @@ import numpy as np
 from .balanced import runs_of, select_query_point
 from .errors import InstanceTooLargeError, InternalInvariantError
 from .geometry import (GridPoint, SignVector, even_count, even_grid, grid_columns, grid_dtype,
-                       linf_dist, sign_vector)
+                       integer_array, linf_dist, sign_vector)
 from .oracles import ContractionOracle, GridView, strong_to_weak
 
 __all__ = [
@@ -107,10 +107,11 @@ class CandidateSet:
         return self._m
 
     def contains_points(self, pts: Sequence[Sequence[int]]) -> np.ndarray:
-        """Membership mask for an ``(m, k)`` integer array of points (other shapes raise
-        ``ValueError``): two searches per ``i < k`` narrow the runs (rows are runs of one) to the
-        point's prefix; ``x_k`` is tested by arithmetic on the last one starting at or below it."""
-        pts = np.asarray(pts, dtype=np.int64)
+        """Membership mask for an ``(m, k)`` integer array of points (other shapes and dtypes
+        raise ``ValueError``): two searches per ``i < k`` narrow the runs (rows are runs of one)
+        to the point's prefix; ``x_k`` is tested by arithmetic on the last one starting at or
+        below it."""
+        pts = integer_array(pts, "points")
         if pts.ndim != 2 or pts.shape[1] != self.k:
             raise ValueError(f"points must form an (m, {self.k}) array, got shape {pts.shape}")
         *pre, last, lens = self.runs or self.cols + [np.ones(self._m, dtype=np.int64)]
@@ -210,12 +211,15 @@ def eliminate(T: CandidateSet, a: GridPoint, s: SignVector) -> CandidateSet:
     a = 4 and s = (+1,) keep {6, 8}.  On EVEN(8, 3), a = (4, 4, 4) and s = (+1, 0, -1) give
     b = (6, 4, 2); prefix (8, 4) has P = 2 = s_1 (8 - 6), is good and keeps x_3 - 2 <= 2:
     {0, 2, 4}; prefix (8, 0) has P = 4 from x_2 alone (s_2 = 0), would need x_3 - 2 <= -4 and
-    is dropped.  An all-zero ``s`` eliminates nothing and is a usage error.
+    is dropped.  An all-zero ``s`` eliminates nothing and is a usage error, and so is an ``a``
+    or ``s`` of another length or not of an integer dtype.
     """
-    s = tuple(int(v) for v in s)
-    if len(s) != T.k or not any(s) or not set(s) <= {-1, 0, 1}:
-        raise ValueError(f"sign vector must be a nonzero vector in {{-1, 0, 1}}^{T.k}, got {s}")
-    b = [int(ai) + 2 * si for ai, si in zip(a, s)]
+    a, s = integer_array(a, "query point"), integer_array(s, "sign vector")
+    if a.shape != (T.k,) or s.shape != (T.k,) or not any(s) or not set(s.tolist()) <= {-1, 0, 1}:
+        raise ValueError(f"need a point in Z^{T.k} and a nonzero sign vector in {{-1, 0, 1}}^"
+                         f"{T.k}, got a = {a.tolist()}, s = {s.tolist()}")
+    s = tuple(s.tolist())
+    b = [ai + 2 * si for ai, si in zip(a.tolist(), s)]
     if not all(-2 <= v <= T.n + 2 for v in b):
         raise ValueError(f"apex {b} lies outside [-2, {T.n + 2}]^{T.k}")
     if T.k == 1:  # a Python int apex would cast the whole column to int64 first
@@ -278,7 +282,7 @@ def solve(g: ContractionOracle | GridView, gamma: float, *, cap: int = DEFAULT_C
             raise InternalInvariantError(
                 f"query bound {bound} exceeded at round {t}: halving should have "
                 f"emptied the candidate set")
-        a = select_query_point(cand, n, k)
+        a = select_query_point(cand)
         ga = g(tuple(float(v) for v in a))
         residual = linf_dist(ga, a)
         if residual <= threshold:

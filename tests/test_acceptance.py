@@ -36,7 +36,7 @@ from cubefix.properties import (
     escape_pyramid_suite,
     fixed_point_region_suite,
 )
-from cubefix.solver import picard_baseline, solve_strong, solve_unit_cube
+from cubefix.solver import CandidateSet, picard_baseline, solve_strong, solve_unit_cube
 from cubefix.total import extend_consistent, scan_violations, solve_total
 from pyramids import PyramidSpec, enumerate_even, in_pyramid
 
@@ -246,7 +246,8 @@ def test_criterion_4_balanced_point_equivalence():
     for n in (2, 4, 6):
         grid = list(enumerate_even(n, 2))
         members = all_subsets(len(grid))
-        qs = [find_balanced_point([x for x, inside in zip(grid, row) if inside], n, 2)
+        qs = [find_balanced_point(CandidateSet(
+                  np.array([x for x, inside in zip(grid, row) if inside]).T, n))
               for row in members]
         subsets += len(qs)
         ok = balanced_by_definition_batch(grid, members, qs)
@@ -260,7 +261,7 @@ def test_criterion_4_balanced_point_equivalence():
         size = int(rng.integers(1, 30))
         idx = rng.choice(len(grid3), size=size, replace=False)
         members[b, idx] = True
-        qs.append(find_balanced_point([grid3[i] for i in idx], 10, 3))
+        qs.append(find_balanced_point(CandidateSet(np.array([grid3[i] for i in idx]).T, 10)))
     ok = balanced_by_definition_batch(grid3, members, qs)
     failures += [{"n": 10, "k": 3, "T": [grid3[i] for i in np.flatnonzero(members[b])],
                   "q": qs[b]} for b in np.flatnonzero(~ok)]

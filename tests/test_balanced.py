@@ -88,6 +88,11 @@ def balanced_by_definition(q, T) -> bool:
     return True
 
 
+def as_set(pts, n):
+    """The point list ``pts`` as a set on ``[0, n]^k``, through the one intake check."""
+    return CandidateSet(np.array(pts).T, n)
+
+
 def naive_lex_minimum(T, n, k):
     for q in itertools.product(range(n + 1), repeat=k):
         if balanced_by_definition(q, T):
@@ -96,10 +101,10 @@ def naive_lex_minimum(T, n, k):
 
 
 def test_is_balanced_examples_k1():
-    T = [(0,), (2,), (4,), (6,), (8,)]
+    T = as_set([(0,), (2,), (4,), (6,), (8,)], 8)
     assert is_balanced((4,), T) is True
     assert is_balanced((0,), T) is False
-    assert is_balanced((2,), [(2,)]) is True
+    assert is_balanced((2,), as_set([(2,)], 2)) is True
 
 
 def test_is_balanced_matches_definition_randomly():
@@ -112,7 +117,7 @@ def test_is_balanced_matches_definition_randomly():
         idx = rng.choice(len(grid), size=size, replace=False)
         T = [grid[i] for i in idx]
         q = tuple(int(v) for v in rng.integers(0, n + 1, size=k))
-        assert is_balanced(q, T) == balanced_by_definition(q, T)
+        assert is_balanced(q, as_set(T, n)) == balanced_by_definition(q, T)
 
 
 def test_is_balanced_query_far_outside_the_grid():
@@ -120,10 +125,10 @@ def test_is_balanced_query_far_outside_the_grid():
     # downward pyramid at -3000 covers no point, so q is not balanced.
     T = [(0,), (30000,)]
     for q in [(-3000,), (-40000,), (70000,)]:
-        assert is_balanced(q, T) is False
+        assert is_balanced(q, as_set(T, 30000)) is False
         assert is_balanced(q, CandidateSet([[0, 16000]], 16000)) is False  # int16 columns
         assert balanced_by_definition(q, T) is False
-    assert is_balanced((15000,), T) is True
+    assert is_balanced((15000,), as_set(T, 30000)) is True
 
 
 def test_columns_dtype_holds_every_difference():
@@ -237,7 +242,7 @@ def test_box_test_matches_the_row_kernel():
     for cols, n in sets:
         k = len(cols)
         box = _BranchBound(runs_of(cols), n)
-        q = np.array(select_query_point(CandidateSet(cols, n), n, k))
+        q = np.array(select_query_point(CandidateSet(cols, n)))
         boxes = [(q, q), (np.maximum(q - 1, 0), q), (np.zeros(k, int), q)]
         for _ in range(30):
             lo = rng.integers(0, n + 1, size=k)
@@ -262,7 +267,7 @@ def test_coverage_counts_matches_reference_in_five_to_seven_dimensions():
             cols = grid_columns(list(pts.T), n)
             runs = runs_of(cols)
             qs = [[0] * k, [n] * k] + [list(rng.integers(0, n + 1, size=k)) for _ in range(4)]
-            qs.append(list(select_query_point(pts, n, k)))
+            qs.append(list(select_query_point(as_set(pts, n))))
             for q in qs:
                 want = reference_coverage_counts(cols, q, signs)
                 assert coverage_counts(runs, q, signs).tolist() == want.tolist()
@@ -331,7 +336,7 @@ def test_own_sign_box_test_at_five_dimensions():
         pts = grid[rng.random(len(grid)) < keep]
         cols = grid_columns(list(pts.T), n)
         box = _BranchBound(runs_of(cols), n)
-        q = np.array(select_query_point(pts, n, k))
+        q = np.array(select_query_point(as_set(pts, n)))
         boxes = [(q, q), (np.maximum(q - 1, 0), q), (np.zeros(k, int), q)]
         for _ in range(25):
             lo = rng.integers(0, n + 1, size=k)
@@ -354,9 +359,9 @@ def test_coverage_counts_needs_the_full_sign_table():
 
 
 def test_find_balanced_full_even_line():
-    assert find_balanced_point([(0,), (2,), (4,), (6,), (8,)], 8, 1) == (4,)
+    assert find_balanced_point(as_set([(0,), (2,), (4,), (6,), (8,)], 8)) == (4,)
     # even count: both weak medians qualify; lexicographic rule takes the lower
-    assert find_balanced_point([(0,), (2,), (4,), (6,)], 6, 1) == (2,)
+    assert find_balanced_point(as_set([(0,), (2,), (4,), (6,)], 6)) == (2,)
 
 
 def test_k1_selection_is_the_lower_weak_median():
@@ -369,9 +374,10 @@ def test_k1_selection_is_the_lower_weak_median():
                         rng.integers(0, n // 2 + 1, size=size) * 2,
                         np.repeat(rng.integers(0, n // 2 + 1, size=(size + 1) // 2) * 2, 2)):
                 want = (_median_interval(pts)[0],)
-                assert find_balanced_point(pts[:, None], n, 1) == want
-                assert select_query_point(CandidateSet([pts], n), n, 1) == want
-                assert is_balanced(want, pts[:, None])
+                T = CandidateSet([pts], n)
+                assert find_balanced_point(T) == want
+                assert select_query_point(T) == want
+                assert is_balanced(want, T)
 
 
 def test_order_statistics_from_runs_match_the_rows():
@@ -393,7 +399,7 @@ def test_order_statistics_from_runs_match_the_rows():
 
 def test_find_balanced_singleton_is_at_most_the_point():
     for x in [(0, 0), (2, 4), (4, 2), (4, 4)]:
-        q = find_balanced_point([x], 4, 2)
+        q = find_balanced_point(as_set([x], 4))
         assert balanced_by_definition(q, [x])
         assert q <= x
     assert balanced_by_definition((2, 4), [(2, 4)])
@@ -401,7 +407,7 @@ def test_find_balanced_singleton_is_at_most_the_point():
 
 def test_find_balanced_two_corners():
     T = [(0, 0), (4, 4)]
-    q = find_balanced_point(T, 4, 2)
+    q = find_balanced_point(as_set(T, 4))
     assert balanced_by_definition(q, T)
     assert q == naive_lex_minimum(T, 4, 2)
 
@@ -413,7 +419,7 @@ def test_exhaustive_lex_minimum_small_grids():
         grid = list(enumerate_even(n, k))
         for mask in range(1, 2 ** len(grid)):
             T = [grid[i] for i in range(len(grid)) if mask >> i & 1]
-            got = find_balanced_point(T, n, k)
+            got = find_balanced_point(as_set(T, n))
             assert got == naive_lex_minimum(T, n, k)
 
 
@@ -424,7 +430,7 @@ def test_lex_minimum_random_k2():
         size = int(rng.integers(1, 12))
         idx = rng.choice(len(grid), size=size, replace=False)
         T = sorted(grid[i] for i in idx)
-        got = find_balanced_point(T, 8, 2)
+        got = find_balanced_point(as_set(T, 8))
         assert got == naive_lex_minimum(T, 8, 2)
 
 
@@ -437,7 +443,7 @@ def test_lex_minimum_random_k3():
             size = int(rng.integers(1, 10))
             idx = rng.choice(len(grid), size=size, replace=False)
             T = sorted(grid[i] for i in idx)
-            got = find_balanced_point(T, n, k)
+            got = find_balanced_point(as_set(T, n))
             assert got == naive_lex_minimum(T, n, k)
 
 
@@ -473,7 +479,7 @@ def test_select_query_point_balanced_k3_k4():
             size = int(rng.integers(1, min(40, len(grid)) + 1))
             idx = rng.choice(len(grid), size=size, replace=False)
             T = [grid[i] for i in idx]
-            q = select_query_point(T, n, k)
+            q = select_query_point(as_set(T, n))
             assert all(0 <= v <= n for v in q)
             assert balanced_by_definition(q, T)
 
@@ -484,8 +490,8 @@ def test_select_query_point_agrees_with_exact_for_k_le_2():
     for _ in range(50):
         size = int(rng.integers(1, 15))
         idx = rng.choice(len(grid), size=size, replace=False)
-        T = [grid[i] for i in idx]
-        assert select_query_point(T, 10, 2) == find_balanced_point(T, 10, 2)
+        T = as_set([grid[i] for i in idx], 10)
+        assert select_query_point(T) == find_balanced_point(T)
 
 
 def _shrunk_grids(values=(-1, 1)):
@@ -495,7 +501,7 @@ def _shrunk_grids(values=(-1, 1)):
     for n, k in [(40, 3), (16, 4)]:
         T = CandidateSet.initial(n, k)
         for _ in range(3):
-            a = select_query_point(T, n, k)
+            a = select_query_point(T)
             s = tuple(int(v) for v in rng.choice(values, size=k))
             T = eliminate(T, a, s if any(s) else (1,) + (0,) * (k - 1))
             if len(T) == 0:
@@ -506,13 +512,13 @@ def _shrunk_grids(values=(-1, 1)):
 def test_select_query_point_same_trajectory_as_reference_kernel(monkeypatch):
     cases = list(_shrunk_grids())
     assert len(cases) >= 4
-    want = [select_query_point(T, n, k) for T, n, k in cases]
+    want = [select_query_point(T) for T, _, _ in cases]
 
     def reference_on_runs(runs, q, signs):
         return reference_coverage_counts(expand_runs(runs), q, signs)
 
     monkeypatch.setattr(cubefix.balanced, "coverage_counts", reference_on_runs)
-    assert [select_query_point(T, n, k) for T, n, k in cases] == want
+    assert [select_query_point(T) for T, _, _ in cases] == want
 
 
 def test_eliminated_grids_keep_one_run_per_prefix():
@@ -540,8 +546,8 @@ def test_select_query_point_falls_back_to_exact_search(monkeypatch):
     for _ in range(5):
         idx = rng.choice(len(grid), size=int(rng.integers(1, 30)), replace=False)
         T = [grid[i] for i in idx]
-        q = select_query_point(T, 10, 3)
-        assert q == find_balanced_point(T, 10, 3)
+        q = select_query_point(as_set(T, 10))
+        assert q == find_balanced_point(as_set(T, 10))
         assert balanced_by_definition(q, T)
 
 
@@ -551,10 +557,10 @@ def test_select_query_point_falls_back_to_exact_search_on_solver_sized_sets(monk
     monkeypatch.setattr(cubefix.balanced, "_descend", lambda *args, **kwargs: None)
     n, k = 48, 3
     T = CandidateSet.initial(n, k)
-    T = eliminate(T, select_query_point(T, n, k), (1, 1, 1))
+    T = eliminate(T, select_query_point(T), (1, 1, 1))
     assert len(T) == 6480
-    q = select_query_point(T, n, k)
-    assert q == find_balanced_point(T, n, k) == (30, 30, 30)
+    q = select_query_point(T)
+    assert q == find_balanced_point(T) == (30, 30, 30)
     assert is_balanced(q, T)
 
 
@@ -576,9 +582,9 @@ def test_select_query_point_descends_past_six_dimensions(monkeypatch):
     monkeypatch.setattr(cubefix.balanced, "find_balanced_point", no_fallback)
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        T = grid[rng.random(len(grid)) < 0.6 ** (grid.sum(axis=1) / 2)]
+        T = as_set(grid[rng.random(len(grid)) < 0.6 ** (grid.sum(axis=1) / 2)], n)
         before = len(calls)
-        q = select_query_point(T, n, k)
+        q = select_query_point(T)
         scored.append(len(calls) - before)
         assert all(0 <= v <= n for v in q)
         assert is_balanced(q, T)
@@ -586,16 +592,28 @@ def test_select_query_point_descends_past_six_dimensions(monkeypatch):
 
 
 def test_validation_errors():
+    for k in (1, 2, 3):
+        empty = CandidateSet([np.zeros(0, dtype=np.int64)] * k, 4)
+        for search in (find_balanced_point, select_query_point):
+            with pytest.raises(ValueError):
+                search(empty)
+    # Points reach a search only through the intake check of CandidateSet.
+    for bad in ([], [(1, 2)], [(0, 6)], [(2.9,), (4.0,)]):  # empty, odd, outside, not integers
+        with pytest.raises(ValueError):
+            as_set(bad, 4)
+
+
+def test_is_balanced_refuses_a_query_point_that_is_not_integer():
+    # 4.9 truncated to 4 is balanced on {0, .., 8}; the upward pyramid at 4.9 itself
+    # covers only {6, 8}, 2 of 5 points, so q is not balanced and may not be rounded.
+    pts = [(0,), (2,), (4,), (6,), (8,)]
+    T = as_set(pts, 8)
+    assert is_balanced((4,), T) and not balanced_by_definition((4.9,), pts)
+    for q in [(4.9,), (4.0,), np.array([4.0])]:
+        with pytest.raises(ValueError):
+            is_balanced(q, T)
     with pytest.raises(ValueError):
-        find_balanced_point([], 4, 2)
-    with pytest.raises(ValueError):
-        find_balanced_point([(1, 2)], 4, 2)  # odd coordinate
-    with pytest.raises(ValueError):
-        find_balanced_point([(0, 6)], 4, 2)  # outside [0, n]
-    with pytest.raises(ValueError):
-        find_balanced_point([(2.9,), (4.0,)], 4, 1)  # not integers
-    with pytest.raises(ValueError):
-        is_balanced((2,), [(2.9,)])  # not integers
+        is_balanced((4, 4), T)  # wrong dimension
 
 
 @given(
@@ -617,5 +635,5 @@ def test_property_lex_minimum(args):
     n = 2 * half_n
     T = sorted(tuple(min(2 * c, n) for c in x) for x in raw)
     T = sorted(set(T))
-    got = find_balanced_point(T, n, k)
+    got = find_balanced_point(as_set(T, n))
     assert got == naive_lex_minimum(T, n, k)

@@ -75,7 +75,7 @@ def check_against_rows(pts, n, apexes, rng):
     for a, s in apexes:
         got = eliminate(T, a, s)
         assert np.array_equal(got.points, eliminate_rows(pts, a, s))
-    q = select_query_point(T, n, k)
+    q = select_query_point(T)
     assert balanced_rows(q, pts)
     if k == 2:
         assert q == k2_lex_min_rows(pts, n)

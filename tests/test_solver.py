@@ -1,6 +1,8 @@
 """Tests for the elimination solver, its invariants, and the Picard baseline."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from cubefix.solver import (
     solve_strong,
     solve_unit_cube,
 )
+from cubefix.total import scan_violations
 
 
 def grid_oracle(fn, k, gamma, n, fixed_point=None):
@@ -72,6 +75,15 @@ def test_contains_points_refuses_points_of_another_dimension():
     assert T.contains_points(even_points_near((100.0, 100.0), 8, 2)).shape == (0,)
 
 
+def test_contains_points_refuses_points_that_are_not_integer():
+    # Truncated towards zero, (2.9, 4.2, 0.5) would read as the member (2, 4, 0).
+    T = CandidateSet.initial(8, 3)
+    assert T.contains_points([[2, 4, 0]]).tolist() == [True]
+    for bad in ([[2.9, 4.2, 0.5]], np.array([[2.0, 4.0, 0.0]])):
+        with pytest.raises(ValueError):
+            T.contains_points(bad)
+
+
 def test_candidate_set_checks_outside_points():
     for bad in ([0, 3], [-2, 0], [0, 12], [65538]):
         with pytest.raises(ValueError):
@@ -100,7 +112,7 @@ def test_unsorted_outside_set_acts_like_its_sorted_copy():
         ordered = pts[np.lexsort(pts.T[::-1])]
         T, S = CandidateSet(list(pts.T), n), CandidateSet(list(ordered.T), n)
         assert np.array_equal(T.points, ordered)
-        assert select_query_point(T, n, k) == select_query_point(S, n, k)
+        assert select_query_point(T) == select_query_point(S)
         for _ in range(10):
             a = tuple(int(v) for v in rng.integers(0, n + 1, size=k))
             s = tuple(int(v) for v in rng.choice((-1, 1), size=k))
@@ -209,7 +221,7 @@ def test_run_cut_equals_the_row_rule():
     seen = {"several runs": 0, "P = 0": 0, "ties": 0, "border": 0, "s_k = 0": 0, "empty": 0}
     for k, n in [(3, 40), (3, 10), (4, 16), (5, 8)]:
         grid = CandidateSet.initial(n, k)
-        sets = [grid, eliminate(grid, select_query_point(grid, n, k), (1,) + (0,) * (k - 1))]
+        sets = [grid, eliminate(grid, select_query_point(grid), (1,) + (0,) * (k - 1))]
         for keep in (0.7, 0.3, 0.05):
             pts = grid.points[rng.random(len(grid)) < keep]
             sets.append(CandidateSet(list(pts.T), n))
@@ -269,6 +281,21 @@ def test_eliminate_rejects_zero_and_bad_signs():
         eliminate(T, (4, 4), (0, 0))
     with pytest.raises(ValueError):
         eliminate(T, (4, 4), (2, 0))
+    for a, s in [((4,), (1, 0)), ((4, 4, 4), (1, 0)), ((4, 4), (1,)), ((4, 4), (0.5, 1))]:
+        with pytest.raises(ValueError):
+            eliminate(T, a, s)
+
+
+def test_eliminate_refuses_a_query_point_that_is_not_integer():
+    # The apex of a = 2.9 and s = +1 is 4.9, which keeps {6, 8}; truncated to 2, a would
+    # keep {4, 6, 8}.  The point is refused instead, as are float signs.
+    T = CandidateSet.initial(8, 1)
+    assert eliminate(T, (3,), (1,)).points.ravel().tolist() == [6, 8]
+    for a, s in [((2.9,), (1,)), ((3.0,), (1,)), (np.array([3.0]), (1,)), ((3,), (1.0,))]:
+        with pytest.raises(ValueError):
+            eliminate(T, a, s)
+    with pytest.raises(ValueError):
+        eliminate(CandidateSet.initial(8, 3), (4.5, 4, 4), (1, 0, -1))
 
 
 def test_solve_constant_grid_map():
@@ -370,6 +397,65 @@ def test_grid_mirror_solves_halve_and_keep_the_fixed_point_for_many_rounds(k, n,
         assert res.queries <= query_bound(n, k)
         queries.append(res.queries)
     assert np.mean(queries) >= floor
+
+
+def greedy_consistent_oracle(n, k, gamma, held):
+    """A grid oracle whose answers keep the most candidates and stay consistent with a
+    ``(1 - gamma)``-contraction.
+
+    Earlier answers ``g(q)`` confine the answer at ``a`` to the box ``|y - g(q)| <= (1 - gamma)
+    |a - q|`` inside ``[0, n]^k``, in exact rationals (dyadic for dyadic ``gamma``, so exact as
+    floats).  Each coordinate goes to the box's top or bottom, or stays at ``a_i``: a sign of
+    +1, -1 or 0.  Of the answers with residual above ``16 / gamma`` it takes the one whose sign
+    keeps the most of ``held[0]``, the set being queried (ties go to the first in the order top,
+    bottom, stay); if there is none, the nearest, and the solve stops.
+    """
+    factor, threshold, answered = 1 - Fraction(gamma), 16 / gamma, []
+
+    def fn(x):
+        a = [int(v) for v in x]
+        lo, hi = [Fraction(0)] * k, [Fraction(n)] * k
+        for q, g in answered:
+            r = factor * max(abs(qi - ai) for qi, ai in zip(q, a))
+            lo = [max(low, gi - r) for low, gi in zip(lo, g)]
+            hi = [min(high, gi + r) for high, gi in zip(hi, g)]
+        steps = [[v for v, ok in ((h, h > ai), (low, low < ai), (ai, low <= ai <= h)) if ok]
+                 for low, h, ai in zip(lo, hi, a)]
+
+        def rank(g):
+            residual = max(abs(gi - ai) for gi, ai in zip(g, a))
+            if residual <= threshold:
+                return (-1, -residual)
+            return (len(eliminate(held[0], a, [(gi > ai) - (gi < ai) for gi, ai in zip(g, a)])), 0)
+
+        g = max(itertools.product(*steps), key=rank)
+        answered.append((a, g))
+        return tuple(float(v) for v in g)
+
+    return grid_oracle(fn, k, gamma, n)
+
+
+def test_greedy_consistent_adversary_at_k3_stays_within_the_bound():
+    # Every answer is consistent, so the solve must end at a fixed point.  Measured: 5, 4, 7,
+    # 6, 8 and 7 queries (mean 6.2), against query bounds of 20, 21 and 23.  The answers end
+    # up as the constant map at (n, n, n): after the first, consistency rules out the signs
+    # that would keep more.
+    k, queries = 3, []
+    for n, gamma in itertools.product((128, 200, 256), (0.75, 0.5)):
+        held = [CandidateSet.initial(n, k)]
+
+        def check(rec, before, after):
+            if after is not None:
+                assert 2 * len(after) <= len(before)
+                held[0] = after
+
+        g = greedy_consistent_oracle(n, k, gamma, held)
+        res = solve(g, gamma, on_round=check)
+        assert res.outcome == "fixed-point-found"
+        assert res.queries <= query_bound(n, k)
+        assert scan_violations(g.transcript, gamma) is None
+        queries.append(res.queries)
+    assert np.mean(queries) >= 5.5, queries
 
 
 def test_solve_k7_grid_within_query_bound():
